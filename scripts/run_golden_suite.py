@@ -10,10 +10,9 @@ from ambicap import builtin_machina_suite
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--format", choices=("human", "machine"), default="human")
-    parser.add_argument("--parallel", action="store_true")
     args = parser.parse_args()
 
-    report = builtin_machina_suite(parallel=args.parallel)
+    report = builtin_machina_suite()
     print(report.to_machine() if args.format == "machine" else report.to_human())
     return report.exit_code
 

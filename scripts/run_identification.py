@@ -44,7 +44,8 @@ def sweep(name, model, grid, budget) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=5, help="grid points per axis")
-    parser.add_argument("--budget", type=int, default=5000)
+    parser.add_argument("--budget", type=int, default=5000,
+                        help="simplex pivot cap of each cost LP solve; reaching it raises")
     args = parser.parse_args()
 
     failures = sweep("urn-5051", model_5051(grid_resolution=args.grid), args.grid,

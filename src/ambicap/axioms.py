@@ -24,6 +24,7 @@ from .model import (
     evaluate_value,
     mix_acts,
     mix_lotteries,
+    serialize_lottery,
 )
 from .stock import P_5051, STATES_4, acts_5051, auxiliary_acts
 
@@ -64,7 +65,7 @@ def _serialize_raw(raw: dict) -> dict:
         if isinstance(val, UtilityAct):
             out[key] = val.payoffs.tolist()
         elif isinstance(val, Lottery):
-            out[key] = [[p, a.payoffs.tolist()] for p, a in val.atoms]
+            out[key] = serialize_lottery(val)
         else:
             out[key] = float(val)
     return out

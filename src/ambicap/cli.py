@@ -6,7 +6,7 @@ Verbs:
     identify SCENARIO   run the identification queries
     compare SCENARIO    run the model-comparative queries
     report SCENARIO     run every query in the scenario
-    suite               run the bundled golden scenarios
+    suite               run the bundled reference scenarios
 
 Exit codes: 0 success, 1 an expectation failed, 2 scenario validation
 error, 3 a query raised an internal error.
@@ -47,13 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default tolerance for expectation checks")
     parser.add_argument("--format", choices=("human", "machine"), default="human",
                         help="report rendering")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent queries concurrently")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERB_KINDS:
         p = sub.add_parser(verb, help=f"run {verb} queries from a scenario file")
         p.add_argument("scenario", help="path to a scenario YAML file")
-    sub.add_parser("suite", help="run the bundled golden scenarios")
+    sub.add_parser("suite", help="run the bundled reference scenarios")
     return parser
 
 
@@ -61,7 +59,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.verb == "suite":
-            report = builtin_machina_suite(parallel=args.parallel)
+            report = builtin_machina_suite()
         else:
             scenario = load_scenario(
                 args.scenario, grid_resolution=args.grid, default_seed=None,
@@ -69,7 +67,6 @@ def main(argv=None) -> int:
             report = run_queries(
                 scenario,
                 _VERB_KINDS[args.verb],
-                parallel=args.parallel,
                 seed_override=args.seed,
                 default_tolerance=args.tolerance,
             )

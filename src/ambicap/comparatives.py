@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BeliefSet, is_subset
-from .model import CapModel, FiniteFamily, Lottery, evaluate, evaluate_value, mix_lotteries
+from .model import (
+    CapModel,
+    FiniteFamily,
+    Lottery,
+    evaluate,
+    evaluate_value,
+    mix_lotteries,
+    serialize_lottery,
+)
 
 log = logging.getLogger(__name__)
 
@@ -33,24 +41,23 @@ class ComparativeVerdict:
             raise ValueError("a failing verdict must carry a counterexample")
 
 
-def _serialize(P: Lottery):
-    return [[p, a.payoffs.tolist()] for p, a in P.atoms]
-
-
 def _require_cap(*models):
     for m in models:
         if m.variant != "cap":
             raise ValueError(f"comparative defined for cap models, got {m.variant!r}")
 
 
-def _tags_intersect(tags1, tags2) -> bool:
-    if not tags1 or not tags2:
-        return False
-    if isinstance(tags1[0], int):
-        return bool(set(tags1) & set(tags2))
-    a = np.asarray(tags1, dtype=float)
-    b = np.asarray(tags2, dtype=float)
-    return bool((np.abs(a[:, None, :] - b[None, :, :]).max(axis=2) < 1e-9).any())
+def perceptions_intersect(tags1, tags2) -> bool:
+    """True iff two optimal-perception lists share an entry: family indices
+    must match exactly, theta tuples to within 1e-9 in every coordinate."""
+    for a in tags1:
+        for b in tags2:
+            if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+                if len(a) == len(b) and all(abs(x - y) <= 1e-9 for x, y in zip(a, b)):
+                    return True
+            elif a == b:
+                return True
+    return False
 
 
 def shares_optimal_perception_detail(model: CapModel, P: Lottery, Q: Lottery):
@@ -64,7 +71,7 @@ def shares_optimal_perception_detail(model: CapModel, P: Lottery, Q: Lottery):
         if abs(mixed - (lam * rP.value + (1.0 - lam) * rQ.value)) > SHARES_TOL:
             linear = False
             break
-    return linear, _tags_intersect(rP.optimal_perceptions, rQ.optimal_perceptions)
+    return linear, perceptions_intersect(rP.optimal_perceptions, rQ.optimal_perceptions)
 
 
 def shares_optimal_perception(
@@ -79,8 +86,8 @@ def shares_optimal_perception(
     linear, intersects = shares_optimal_perception_detail(model, P, Q)
     if linear != intersects:
         note = {
-            "P": _serialize(P),
-            "Q": _serialize(Q),
+            "P": serialize_lottery(P),
+            "Q": serialize_lottery(Q),
             "linear": linear,
             "argmax_intersects": intersects,
         }
@@ -103,7 +110,7 @@ def more_tolerant_ea_randomization(
         ):
             return ComparativeVerdict(
                 False,
-                {"P": _serialize(P), "Q": _serialize(Q)},
+                {"P": serialize_lottery(P), "Q": serialize_lottery(Q)},
                 i + 1,
             )
     return ComparativeVerdict(True, None, n)
@@ -121,7 +128,7 @@ def more_tolerant_ambiguity(
         if v1 < v2 - SHARES_TOL:
             return ComparativeVerdict(
                 False,
-                {"P": _serialize(P), "value1": v1, "value2": v2},
+                {"P": serialize_lottery(P), "value1": v1, "value2": v2},
                 i + 1,
             )
     return ComparativeVerdict(True, None, n)
@@ -147,8 +154,8 @@ def higher_filtering_incentives(
                     False,
                     {
                         "lam": lam,
-                        "P": _serialize(P),
-                        "Q": _serialize(Q),
+                        "P": serialize_lottery(P),
+                        "Q": serialize_lottery(Q),
                         "t": t,
                         "d1": d1,
                         "d2": d2,
@@ -183,7 +190,7 @@ def dominates_benefit(
             P = sampler.lottery()
             gap = _best_expected_meu(Msets, P) - _best_expected_meu(Mprime_sets, P)
             if gap < -SHARES_TOL:
-                note = {"P": _serialize(P), "gap": gap}
+                note = {"P": serialize_lottery(P), "gap": gap}
                 log.error("benefit dominance sampled contradiction: %s", note)
                 if diagnostics is not None:
                     diagnostics.append(note)

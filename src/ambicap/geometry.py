@@ -5,6 +5,8 @@ vertices.  The minimum expected value of a payoff vector over a belief set
 (its support function in the min convention) is exact: a linear functional
 on a polytope attains its minimum at a vertex.  Convex capacities are stored
 densely over subset bitmasks and give rise to cores and Choquet integrals.
+One dense simplex kernel solves every linear program of the package: hull
+membership here, the parametric evaluator and the cost estimate elsewhere.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ INCLUSION_TOL = 1e-9
 SUPERMODULAR_TOL = 1e-12
 MAX_CAPACITY_STATES = 12
 MAX_CORE_STATES = 8
+MAX_PIVOTS = 20000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -198,12 +201,51 @@ def mix_sets(lam: float, M: BeliefSet, M2: BeliefSet) -> BeliefSet:
     return BeliefSet(M.states, combos.reshape(-1, a.shape[1]))
 
 
+def _simplex(tab: np.ndarray, first: int, max_pivots: int) -> list:
+    """Maximize over a dense tableau in place, by Bland's rule; returns the
+    final basis, ``basis[i]`` being the column basic in row ``i``.
+
+    ``tab`` holds the constraint rows over its last row, which carries the
+    reduced objective coefficients, and the right-hand sides in its last
+    column.  The caller starts from a feasible basis in canonical form:
+    columns ``first`` to ``first + m - 1`` (m constraint rows) are the
+    identity, with zero reduced cost, and the right-hand sides are
+    nonnegative.  Those columns end up holding the inverse of the final
+    basis.  On return the last row has no positive coefficient and
+    ``-tab[-1, -1]`` is the optimum, offset by whatever the caller put
+    there.  Bland's rule cannot cycle, so hitting ``max_pivots`` or an
+    unbounded entering column raises.
+    """
+    m = tab.shape[0] - 1
+    basis = list(range(first, first + m))
+    for _ in range(max_pivots):
+        positive = np.flatnonzero(tab[m, :-1] > 1e-11)
+        if positive.size == 0:
+            return basis
+        enter = int(positive[0])  # Bland: smallest eligible index
+        col = tab[:m, enter]
+        rows = np.flatnonzero(col > 1e-11)
+        if rows.size == 0:
+            raise RuntimeError(f"LP is unbounded along column {enter}")
+        ratios = np.maximum(tab[rows, -1], 0.0) / col[rows]  # clip rounding below 0
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-15]
+        leave = int(min(ties, key=lambda i: basis[i]))
+        tab[leave] /= tab[leave, enter]
+        pivot_row = tab[leave]
+        factors = tab[:, enter].copy()
+        factors[leave] = 0.0
+        tab -= np.outer(factors, pivot_row)
+        basis[leave] = enter
+    raise RuntimeError(f"simplex did not finish within {max_pivots} pivots")
+
+
 def convex_combination_gap(points: np.ndarray, target: np.ndarray) -> float:
     """Smallest L1 residual of writing ``target`` as a convex combination
     of the rows of ``points``.
 
-    Solved by a dense phase-1 simplex with Bland's rule, so the routine
-    terminates and the zero-gap answer is exact up to pivot arithmetic.
+    Solved by a dense phase-1 simplex from the all-artificial basis, so the
+    zero-gap answer is exact up to pivot arithmetic.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float).reshape(-1)
@@ -223,27 +265,7 @@ def convex_combination_gap(points: np.ndarray, target: np.ndarray) -> float:
     tab[:m, -1] = b
     tab[m, :k] = A.sum(axis=0)
     tab[m, -1] = b.sum()
-    basis = list(range(k, k + m))
-
-    for _ in range(20000):
-        positive = np.flatnonzero(tab[m, : k + m] > 1e-11)
-        if positive.size == 0:
-            break
-        enter = int(positive[0])  # Bland: smallest eligible index
-        col = tab[:m, enter]
-        rows = np.flatnonzero(col > 1e-11)
-        if rows.size == 0:
-            break
-        ratios = tab[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-15]
-        leave = int(min(ties, key=lambda i: basis[i]))
-        tab[leave] /= tab[leave, enter]
-        pivot_row = tab[leave]
-        factors = tab[:, enter].copy()
-        factors[leave] = 0.0
-        tab -= np.outer(factors, pivot_row)
-        basis[leave] = enter
+    _simplex(tab, k, MAX_PIVOTS)
     return float(max(tab[m, -1], 0.0))
 
 

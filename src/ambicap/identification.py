@@ -3,18 +3,21 @@
 The canonical cost of a belief set is the supremum, over lotteries, of
 expected MEU under that set minus the lottery's certainty equivalent.  The
 estimator restricts the supremum to lotteries supported on a finite
-dictionary of normalized acts scaled by a geometric ladder (shifting an
-atom by a constant moves both terms equally, so only normalized directions
-matter), which makes the objective concave in the weight vector.  It is
-maximized by multiplicative-weights supergradient ascent with restarts,
-polished by exact line searches toward simplex vertices, and reported as a
-certified lower bound together with the witness lottery.
+dictionary of normalized acts (shifting an atom by a constant moves both
+terms equally, so only normalized directions matter).  Over the lottery's
+weights the objective is concave and piecewise linear, so its maximum is
+one LP, solved by the package's simplex kernel.  A finite family gives the
+LP every member at once.  A parametric family starts from its box corners
+and gains, as cutting planes (Kelley 1960), the optimal members of each
+witness lottery under the exact evaluator, until the evaluator agrees with
+the LP.  The estimate is the value of that witness, so it is a certified
+lower bound.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .geometry import (
     BeliefSet,
     StateSpace,
     UtilityAct,
+    _simplex,
     convex_combination_gap,
     is_subset,
     mix_sets,
@@ -38,10 +42,9 @@ from .model import (
     evaluate,
 )
 
-WITNESS_TOL = 1e-7
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_N_RESTARTS = 16
-_N_POLISHED = 4
+# Right-hand-side perturbation of the cost LP; random, so that it breaks the
+# affine dependences among candidate rows instead of repeating them.
+_PERTURBATION = np.random.default_rng(0).uniform(1e-8, 2e-8, 1024)
 
 
 def normalize_act(act: UtilityAct) -> UtilityAct:
@@ -123,134 +126,105 @@ class CanonicalReport:
 
 def _dictionary_atoms(dictionary: Dictionary, states: StateSpace):
     """Zero act first (it pins the estimate's floor at exactly 0), then
-    every ladder scaling of every dictionary act."""
-    atoms = [constant_act(states, 0.0)]
-    for psi in dictionary.acts:
-        for alpha in dictionary.ladder:
-            atoms.append(UtilityAct(states, alpha * psi.payoffs))
-    return atoms
+    every dictionary act at the top of the ladder.
 
-
-def _surrogate_tables(model: CapModel, atoms):
-    """(Hmat, costs): per-candidate MEU of every atom, plus candidate costs.
-
-    For parametric families the candidates are the grid plus corners, so
-    the surrogate value of a lottery never exceeds the true one and the
-    final report re-evaluates with the exact evaluator.
+    Lower rungs add nothing: MEU is positively homogeneous, so weight q on
+    alpha * psi is matched by weight q * alpha / max(ladder) on the top
+    rung, with the rest moved to the zero act, which scores 0 under every
+    perception.  Leaving them out keeps the LP's columns from being
+    rescaled copies of one another.
     """
-    payoff_matrix = np.vstack([a.payoffs for a in atoms])
-    family = model.family
-    if isinstance(family, FiniteFamily):
-        return family.meu_matrix(payoff_matrix), family.costs
-    dots = np.einsum("cvn,mn->cvm", family.grid_vertices, payoff_matrix)
-    return dots.min(axis=1), family.grid_costs
+    top = max(dictionary.ladder)
+    return [constant_act(states, 0.0)] + [
+        UtilityAct(states, top * psi.payoffs) for psi in dictionary.acts
+    ]
 
 
-def _golden_max_01(f, tol=1e-9):
-    a, b = 0.0, 1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return max([(0.0, f(0.0)), (1.0, f(1.0)), (c, fc), (d, fd)], key=lambda t: t[1])
+def _menu_lp(h: np.ndarray, Hmat: np.ndarray, costs: np.ndarray, max_pivots: int):
+    """Weights w on the simplex maximizing h . w - max_k (Hmat[k] . w - costs[k]).
 
+    The epigraph form max h . w - z s.t. z >= Hmat[k] . w - costs[k] is an
+    LP.  Writing z = Hmat[j] . w - costs[j] + s for a cheapest candidate j
+    turns its constraint into s >= 0 and leaves every other right-hand
+    side costs[k] - costs[j] nonnegative.  Column 0 of ``Hmat`` and entry 0
+    of ``h`` belong to the zero act, so its weight is the slack of
+    sum(w[1:]) <= 1, and the all-slack basis at w = e_0 is feasible.
 
-def _polish(w: np.ndarray, objective) -> tuple[np.ndarray, float]:
-    """Cyclic exact line searches between each vertex weight and the rest.
-
-    Along w(s) = s*e_d + (1-s)*(w-w_d e_d)/(1-w_d) the objective is concave
-    (the path is affine), so golden section finds the segment optimum.
+    Payoffs and costs are divided by the largest payoff magnitude, so that
+    the kernel's absolute pivot tolerance sits far above rounding noise.
+    The LP is highly degenerate (candidate rows are often affine
+    combinations of one another), so its right-hand sides are perturbed by
+    random amounts near 1e-8 while pivoting (Charnes 1952), and the
+    solution is then recomputed from the unperturbed ones through the
+    inverse of the final basis.
     """
-    w = w.copy()
-    best = objective(w)
-    D = w.size
-    for _ in range(3):
-        gained = 0.0
-        for d in range(D):
-            wd = w[d]
-            if wd >= 1.0 - 1e-15:
-                continue
-            rest = w.copy()
-            rest[d] = 0.0
-            rest /= rest.sum()
-            e_d = np.zeros(D)
-            e_d[d] = 1.0
+    j = int(np.argmin(costs))
+    others = np.arange(costs.size) != j
+    scale = max(np.abs(h).max(), np.abs(Hmat).max()) or 1.0
+    rows, cols = int(others.sum()) + 1, h.size
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[: rows - 1, : cols - 1] = (Hmat[others, 1:] - Hmat[j, 1:]) / scale
+    tab[: rows - 1, cols - 1] = -1.0
+    tab[: rows - 1, -1] = (costs[others] - costs[j]) / scale
+    tab[rows - 1, : cols - 1] = 1.0
+    tab[rows - 1, -1] = 1.0
+    tab[:rows, cols:-1] = np.eye(rows)
+    tab[rows, : cols - 1] = (h[1:] - Hmat[j, 1:]) / scale
+    tab[rows, cols - 1] = -1.0
+    rhs = tab[:rows, -1].copy()
+    tab[:rows, -1] += np.resize(_PERTURBATION, rows)
+    basis = _simplex(tab, cols, max_pivots)
+    values = tab[:rows, cols:-1] @ rhs
+    if values.min() < -1e-9:
+        raise RuntimeError("cost LP basis is infeasible without the perturbation")
 
-            def along(s, rest=rest, e_d=e_d):
-                return objective(s * e_d + (1.0 - s) * rest)
+    w = np.zeros(h.size)
+    for row, col in enumerate(basis):
+        if col < cols - 1:
+            w[col + 1] = max(values[row], 0.0)
+    w[0] = max(0.0, 1.0 - w[1:].sum())
+    return w
 
-            s_star, v = _golden_max_01(along)
-            if v > best + 1e-12:
-                gained += v - best
-                w = s_star * e_d + (1.0 - s_star) * rest
-                best = v
-        if gained <= 1e-10:
-            break
-    return w, best
+
+def _candidate_rows(family: ParametricFamily, thetas, payoffs: np.ndarray):
+    """(MEU of every atom, cost) for the members at the given thetas."""
+    meu = [(family.vertex_matrix_at(t) @ payoffs.T).min(axis=0) for t in thetas]
+    return np.vstack(meu), np.array([family.cost_at(t) for t in thetas])
 
 
 def estimate_cost_star(
     model: CapModel, M: BeliefSet, dictionary: Dictionary, budget: int = 5000
 ) -> CostEstimate:
-    """Lower-bound the canonical cost of M under the model's behavior."""
+    """Lower-bound the canonical cost of M under the model's behavior.
+
+    ``budget`` caps the simplex pivots of each LP solve; reaching it raises.
+    """
     if model.variant != "cap":
         raise ValueError("cost recovery is defined for the cap variant")
     if M.states != model.states:
         raise ValueError("belief set over a different state space")
     atoms = _dictionary_atoms(dictionary, model.states)
-    D = len(atoms)
-    h = np.array([support_value(M, a) for a in atoms])
-    Hmat, costs = _surrogate_tables(model, atoms)
+    payoffs = np.vstack([a.payoffs for a in atoms])
+    h = (M.matrix @ payoffs.T).min(axis=0)
+    family = model.family
+    if isinstance(family, FiniteFamily):
+        Hmat, costs = family.meu_matrix(payoffs), family.costs
+    else:
+        corners = list(itertools.product((0.0, 1.0), repeat=family.n_params))
+        Hmat, costs = _candidate_rows(family, corners, payoffs)
 
-    def objective(w):
-        return float(h @ w - np.max(Hmat @ w - costs))
+    while True:
+        w = _menu_lp(h, Hmat, costs, budget)
+        witness = Lottery([(p, a) for p, a in zip(w / w.sum(), atoms) if p > 0.0])
+        result = evaluate(model, witness)
+        eps = 1e-9 * max(1.0, abs(result.value))
+        if isinstance(family, FiniteFamily) or result.value <= np.max(Hmat @ w - costs) + eps:
+            break
+        rows, row_costs = _candidate_rows(family, result.optimal_perceptions, payoffs)
+        Hmat, costs = np.vstack([Hmat, rows]), np.concatenate([costs, row_costs])
 
-    rng = np.random.default_rng(0)
-    starts = [np.full(D, 1.0 / D)]
-    starts += [rng.dirichlet(np.ones(D)) for _ in range(_N_RESTARTS - 1)]
-    iters = max(1, budget // _N_RESTARTS)
-
-    results = []
-    for w0 in starts:
-        w = w0.copy()
-        lipschitz = 1e-12
-        best_w, best_v = w.copy(), objective(w)
-        for t in range(1, iters + 1):
-            scores = Hmat @ w - costs
-            active = int(np.argmax(scores))
-            value = float(h @ w - scores[active])
-            if value > best_v:
-                best_v, best_w = value, w.copy()
-            g = h - Hmat[active]
-            lipschitz = max(lipschitz, float(np.abs(g).max()))
-            w = w * np.exp(g / (lipschitz * math.sqrt(t)))
-            w /= w.sum()
-        results.append((best_v, best_w.tobytes(), best_w))
-    results.sort(key=lambda r: (-r[0], r[1]))
-
-    polished = []
-    for v, key, w in results[:_N_POLISHED]:
-        pw, pv = _polish(w, objective)
-        polished.append((pv, pw.tobytes(), pw))
-    polished.sort(key=lambda r: (-r[0], r[1]))
-    _, _, w_best = polished[0]
-
-    keep = w_best > 1e-300
-    probs = w_best[keep] / w_best[keep].sum()
-    witness = Lottery(
-        [(p, a) for p, a in zip(probs, (a for a, k in zip(atoms, keep) if k))]
-    )
     true_value = float(
-        sum(p * support_value(M, a) for p, a in witness.atoms)
-        - evaluate(model, witness).value
+        sum(p * support_value(M, a) for p, a in witness.atoms) - result.value
     )
     if true_value < 0.0:
         zero = Lottery.dirac(atoms[0])

@@ -11,6 +11,13 @@ functional forms:
     choquet        like cap, but members are capacity cores and the MEU
                    kernel is computed by the Choquet sort formula
 
+Every value is exact.  A finite family is enumerated.  On a parametric
+family each variant's score is concave and piecewise linear in theta; the
+grid (which holds every box corner) is scored first, the min variants take
+the grid minimum, which a concave score attains at a corner, and the max
+variants also solve the score's epigraph LP over the whole box with the
+package's simplex kernel.
+
 Values are utils throughout; the certainty equivalent of a lottery equals
 its value.
 """
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    MAX_PIVOTS,
     BeliefSet,
     ConvexCapacity,
     DimensionMismatchError,
@@ -32,14 +40,13 @@ from .geometry import (
     UtilityAct,
     _check_same_states,
     _readonly,
+    _simplex,
     core_of_capacity,
     is_supermodular,
     set_equal,
 )
 
 GROUNDED_TOL = 1e-9
-REFINE_TOL = 1e-8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 VARIANTS = ("cap", "cautious", "dual_self", "double_maxmin", "choquet")
 
@@ -122,14 +129,18 @@ class Lottery:
         return f"Lottery({{{body}}})"
 
 
+def serialize_lottery(P: Lottery) -> list:
+    """JSON-ready ``[[probability, payoffs], ...]`` form of a lottery."""
+    return [[p, a.payoffs.tolist()] for p, a in P.atoms]
+
+
 def mix_lotteries(lam: float, P: Lottery, Q: Lottery) -> Lottery:
     """Ex ante mixture: atom-wise union with scaled probabilities."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixture weight {lam} outside [0, 1]")
     _check_same_states(P, Q)
-    atoms = [(lam * p, a) for p, a in P.atoms if lam > 0.0]
-    atoms += [((1.0 - lam) * p, a) for p, a in Q.atoms if lam < 1.0]
-    return Lottery(atoms)
+    atoms = [(lam * p, a) for p, a in P.atoms] + [((1.0 - lam) * p, a) for p, a in Q.atoms]
+    return Lottery([(p, a) for p, a in atoms if p > 0.0])  # a tiny lam can underflow
 
 
 def mix_acts(lam: float, f: UtilityAct, g: UtilityAct) -> UtilityAct:
@@ -402,68 +413,6 @@ def _finite_scores(model: CapModel, P: Lottery) -> np.ndarray:
     return meu + _COST_SIGN[model.variant] * family.costs
 
 
-def _golden_section_max(f, tol: float):
-    """Maximize a unimodal f on [0,1]; returns (x, f(x))."""
-    a, b = 0.0, 1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    candidates = [(0.0, f(0.0)), (1.0, f(1.0)), (c, fc), (d, fd)]
-    return max(candidates, key=lambda t: t[1])
-
-
-def _refine_parametric(model: CapModel, P: Lottery, theta0: np.ndarray):
-    """Cyclic coordinate search from the best grid point.
-
-    The score is concave in each coordinate (a min of affine functions),
-    so maxima refine by golden section and minima sit at an endpoint.
-    """
-    family = model.family
-    sign = 1.0 if _IS_MAX[model.variant] else -1.0
-    A0 = family.vertex_base @ P.payoff_matrix.T
-    AC = np.einsum("kvn,mn->kvm", family.vertex_coefs, P.payoff_matrix)
-    cost_sign = _COST_SIGN[model.variant]
-
-    def score(theta):
-        vals = A0 + np.tensordot(theta, AC, axes=(0, 0))
-        meu = float(P.probs @ vals.min(axis=0))
-        cost = family.cost_base + float(family.cost_coefs @ theta)
-        return sign * (meu + cost_sign * cost)
-
-    theta = theta0.copy()
-    best = score(theta)
-    k = family.n_params
-    for _ in range(60):
-        gained = 0.0
-        for i in range(k):
-            def along(x, i=i):
-                trial = theta.copy()
-                trial[i] = x
-                return score(trial)
-
-            if _IS_MAX[model.variant]:
-                x, v = _golden_section_max(along, REFINE_TOL)
-            else:
-                # -score is convex per coordinate, so its max is at an endpoint
-                x, v = max(((0.0, along(0.0)), (1.0, along(1.0))), key=lambda t: t[1])
-            if v > best + 1e-15:
-                gained += v - best
-                theta[i] = x
-                best = v
-        if gained <= 1e-12:
-            break
-    return theta, sign * best
-
-
 def _parametric_scores(model: CapModel, P: Lottery) -> np.ndarray:
     family = model.family
     dots = np.einsum("cvn,mn->cvm", family.grid_vertices, P.payoff_matrix)
@@ -471,28 +420,85 @@ def _parametric_scores(model: CapModel, P: Lottery) -> np.ndarray:
     return meu + _COST_SIGN[model.variant] * family.grid_costs
 
 
-def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
-    """Value of the lottery under the model, with near-optimal perceptions."""
+def _parametric_lp_max(model: CapModel, P: Lottery):
+    """(theta, score) maximizing a max variant's score over the whole box.
+
+    The score sum_m p_m min_v (a_vm + b_vm . theta) + cost_sign * cost(theta)
+    is concave and piecewise linear, so its epigraph form
+        max  p . t + cost_sign * c . theta
+        s.t. t_m <= a_vm + b_vm . theta,  0 <= theta <= 1
+    is an exact LP.  Each t_m is shifted by a floor below every value it can
+    take (its atom's minimum payoff, or lower), so the origin with all
+    slacks basic is feasible.  Payoffs and costs are divided by the largest
+    payoff magnitude, so that the kernel's absolute pivot tolerance sits far
+    above the rounding noise.  The score is recomputed at the optimum
+    instead of read off the tableau.
+    """
+    family = model.family
+    probs, payoffs = P.probs, P.payoff_matrix
+    k, n_atoms = family.n_params, probs.size
+    A0 = family.vertex_base @ payoffs.T
+    AC = np.einsum("kvn,mn->kvm", family.vertex_coefs, payoffs)
+    floor = np.minimum(payoffs.min(axis=1), A0.min(axis=0))
+    scale = np.abs(payoffs).max() or 1.0
+    n_pieces = A0.size
+    rows, cols = n_pieces + k, k + n_atoms
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:n_pieces, :k] = -AC.reshape(k, n_pieces).T / scale
+    tab[:n_pieces, k:cols] = np.tile(np.eye(n_atoms), (A0.shape[0], 1))
+    tab[:n_pieces, -1] = (A0 - floor).reshape(-1) / scale
+    tab[n_pieces:rows, :k] = np.eye(k)
+    tab[n_pieces:rows, -1] = 1.0
+    tab[:rows, cols:-1] = np.eye(rows)
+    tab[rows, :k] = _COST_SIGN[model.variant] * family.cost_coefs / scale
+    tab[rows, k:cols] = probs
+    theta = np.zeros(k)
+    for row, col in enumerate(_simplex(tab, cols, MAX_PIVOTS)):
+        if col < k:
+            theta[col] = tab[row, -1]
+    theta = np.clip(theta, 0.0, 1.0)
+    vals = A0 + np.tensordot(theta, AC, axes=(0, 0))
+    cost = family.cost_base + float(family.cost_coefs @ theta)
+    return theta, float(probs @ vals.min(axis=0)) + _COST_SIGN[model.variant] * cost
+
+
+def _solve(model: CapModel, P: Lottery):
+    """(scores, value, lp) shared by ``evaluate`` and ``evaluate_value``.
+
+    ``scores`` are the candidates' scores (family members, or grid points
+    plus box corners).  For the max variants on a parametric family, ``lp``
+    is the (theta, score) optimum of the exact LP, and it sets the value
+    only when it beats the best grid score by more than eps_opt.  The min
+    variants need no LP: a concave score attains its minimum over the box
+    at a corner, and the grid holds every corner.
+    """
     _check_same_states(model, P)
     sign = 1.0 if _IS_MAX[model.variant] else -1.0
-
     if isinstance(model.family, FiniteFamily):
         scores = _finite_scores(model, P)
-        value = float(sign * np.max(sign * scores))
-        eps = 1e-9 * max(1.0, abs(value))
-        idx = np.flatnonzero(sign * scores >= sign * value - eps)
-        return EvaluationResult(value, value, tuple(int(i) for i in idx))
-
-    family = model.family
+        return scores, float(sign * np.max(sign * scores)), None
     scores = _parametric_scores(model, P)
-    best_idx = int(np.argmax(sign * scores))
-    theta_star, refined = _refine_parametric(model, P, family.thetas[best_idx].copy())
-    value = float(sign * max(sign * scores[best_idx], sign * refined))
+    value = float(sign * np.max(sign * scores))
+    if sign < 0.0:
+        return scores, value, None
+    lp = _parametric_lp_max(model, P)
+    if lp[1] > value + 1e-9 * max(1.0, abs(value)):
+        value = lp[1]
+    return scores, value, lp
+
+
+def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
+    """Value of the lottery under the model, with near-optimal perceptions."""
+    scores, value, lp = _solve(model, P)
+    sign = 1.0 if _IS_MAX[model.variant] else -1.0
     eps = 1e-9 * max(1.0, abs(value))
     keep = np.flatnonzero(sign * scores >= sign * value - eps)
-    perceptions = [tuple(float(x) for x in family.thetas[i]) for i in keep]
-    if sign * refined >= sign * value - eps:
-        t_star = tuple(float(x) for x in theta_star)
+    if isinstance(model.family, FiniteFamily):
+        return EvaluationResult(value, value, tuple(int(i) for i in keep))
+
+    perceptions = [tuple(float(x) for x in model.family.thetas[i]) for i in keep]
+    if lp is not None and lp[1] >= value - eps:
+        t_star = tuple(float(x) for x in lp[0])
         if all(max(abs(a - b) for a, b in zip(t_star, p)) > 1e-12 for p in perceptions):
             perceptions.append(t_star)
     return EvaluationResult(value, value, tuple(sorted(perceptions)))
@@ -500,15 +506,7 @@ def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
 
 def evaluate_value(model: CapModel, P: Lottery) -> float:
     """Fast path returning only the value (used by sampling-heavy callers)."""
-    _check_same_states(model, P)
-    sign = 1.0 if _IS_MAX[model.variant] else -1.0
-    if isinstance(model.family, FiniteFamily):
-        scores = _finite_scores(model, P)
-        return float(sign * np.max(sign * scores))
-    scores = _parametric_scores(model, P)
-    best_idx = int(np.argmax(sign * scores))
-    _, refined = _refine_parametric(model, P, model.family.thetas[best_idx].copy())
-    return float(sign * max(sign * scores[best_idx], sign * refined))
+    return _solve(model, P)[1]
 
 
 def certainty_equivalent(model: CapModel, P: Lottery) -> float:

@@ -14,7 +14,6 @@ byte-identical across runs of the same scenario and seeds.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import re
 import time
@@ -36,6 +35,7 @@ from .comparatives import (
     higher_filtering_incentives,
     more_tolerant_ambiguity,
     more_tolerant_ea_randomization,
+    perceptions_intersect,
     shares_optimal_perception_detail,
 )
 from .geometry import BeliefSet, StateSpace, UtilityAct
@@ -59,6 +59,18 @@ _QUERY_KINDS = (
     "identify",
     "comparatives",
     "machina_property",
+)
+_EXPECT_KEYS = (
+    "tolerance",
+    "value",
+    "holds",
+    "canonical",
+    "is_lower_bound",
+    "shares",
+    "lower",
+    "upper",
+    "optimal_contains",
+    "count_at_least",
 )
 _COMPARATIVES = (
     "more_tolerant_ea_randomization",
@@ -149,6 +161,7 @@ class Scenario:
     queries: list[dict]
     default_seed: int = 0
     source: dict = field(default_factory=dict, repr=False)
+    lotteries: list[dict] = field(default_factory=list, repr=False)  # per query, by key
 
     def to_dict(self) -> dict:
         """Serializable form; reloading it yields an equal scenario."""
@@ -272,38 +285,44 @@ def _build_models(states, raw, families):
     return models
 
 
-def _validate_lottery_ref(scenario_acts, ref, path):
+def _validate_lottery_ref(scenario_acts, ref, path) -> Lottery:
+    """The lottery a reference names; probabilities must be positive and
+    sum to 1."""
     if isinstance(ref, str):
         if ref not in scenario_acts:
             raise ScenarioError(path, f"undefined act {ref!r}")
-        return
+        return Lottery.dirac(scenario_acts[ref])
     if isinstance(ref, list) and ref:
+        atoms = []
         for i, pair in enumerate(ref):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ScenarioError(f"{path}[{i}]", "expected [probability, act name]")
-            _parse_number(pair[0], f"{path}[{i}][0]")
+            prob = _parse_number(pair[0], f"{path}[{i}][0]")
             if pair[1] not in scenario_acts:
                 raise ScenarioError(f"{path}[{i}][1]", f"undefined act {pair[1]!r}")
-        return
+            atoms.append((prob, scenario_acts[pair[1]]))
+        try:
+            return Lottery(atoms)
+        except ValueError as exc:
+            raise ScenarioError(path, str(exc)) from exc
     raise ScenarioError(path, "expected an act name or [probability, act] pairs")
 
 
-def _resolve_lottery(scenario: Scenario, ref) -> Lottery:
-    if isinstance(ref, str):
-        return Lottery.dirac(scenario.acts[ref])
-    return Lottery(
-        [(_parse_number(p, "lottery"), scenario.acts[a]) for p, a in ref]
-    )
-
-
-def _validate_query(scenario_parts, q, path):
+def _validate_query(scenario_parts, q, path) -> dict:
+    """Check one query; returns the lotteries it names, by key."""
     states, acts, families, models = scenario_parts
     q = _require_map(q, path)
     kind = q.get("kind")
     if kind not in _QUERY_KINDS:
         raise ScenarioError(f"{path}.kind", f"unknown kind {kind!r}; expected {_QUERY_KINDS}")
     if "expect" in q:
-        _require_map(q["expect"], f"{path}.expect")
+        for key in _require_map(q["expect"], f"{path}.expect"):
+            if key not in _EXPECT_KEYS:
+                raise ScenarioError(f"{path}.expect.{key}", f"unknown expect key {key!r}")
+    lotteries = {}
+
+    def need_lottery(key):
+        lotteries[key] = _validate_lottery_ref(acts, q.get(key), f"{path}.{key}")
 
     def need_model(key="model"):
         if q.get(key) not in models:
@@ -315,11 +334,11 @@ def _validate_query(scenario_parts, q, path):
 
     if kind == "evaluate":
         need_model()
-        _validate_lottery_ref(acts, q.get("lottery"), f"{path}.lottery")
+        need_lottery("lottery")
     elif kind == "compare":
         need_model()
-        _validate_lottery_ref(acts, q.get("better"), f"{path}.better")
-        _validate_lottery_ref(acts, q.get("worse"), f"{path}.worse")
+        need_lottery("better")
+        need_lottery("worse")
     elif kind == "axioms":
         need_model()
         listed = q.get("axioms")
@@ -358,14 +377,15 @@ def _validate_query(scenario_parts, q, path):
             raise ScenarioError(f"{path}.which", f"unknown comparative {which!r}")
         if which == "shares_optimal_perception":
             need_model()
-            _validate_lottery_ref(acts, q.get("P"), f"{path}.P")
-            _validate_lottery_ref(acts, q.get("Q"), f"{path}.Q")
+            need_lottery("P")
+            need_lottery("Q")
         elif which == "dominates_benefit":
             need_family("family1")
             need_family("family2")
         else:
             need_model("model1")
             need_model("model2")
+    return lotteries
 
 
 def load_scenario(path, *, grid_resolution=None, default_seed=None) -> Scenario:
@@ -407,8 +427,10 @@ def scenario_from_dict(
     queries = raw.get("queries", [])
     if not isinstance(queries, list):
         raise ScenarioError("queries", "expected a list")
-    for i, q in enumerate(queries):
+    lotteries = [
         _validate_query((states, acts, families, models), q, f"queries[{i}]")
+        for i, q in enumerate(queries)
+    ]
 
     seed = raw.get("seed", 0) if default_seed is None else default_seed
     return Scenario(
@@ -419,6 +441,7 @@ def scenario_from_dict(
         families=families,
         models=models,
         queries=list(queries),
+        lotteries=lotteries,
         default_seed=int(seed),
         source=raw,
     )
@@ -507,18 +530,6 @@ def _jsonify(obj):
     return obj
 
 
-def _tags_contain(tags, wanted) -> bool:
-    for tag in tags:
-        if isinstance(tag, (list, tuple)) and isinstance(wanted, (list, tuple)):
-            if len(tag) == len(wanted) and max(
-                abs(a - b) for a, b in zip(tag, wanted)
-            ) <= 1e-9:
-                return True
-        elif tag == wanted:
-            return True
-    return False
-
-
 def _check_expect(data: dict, expect: dict, default_tol: float):
     failures = []
     tol = _parse_number(expect.get("tolerance", default_tol), "expect.tolerance")
@@ -541,23 +552,21 @@ def _check_expect(data: dict, expect: dict, default_tol: float):
                 failures.append(f"value {data['value']!r} above {want!r}")
         elif key == "optimal_contains":
             for tag in want:
-                if not _tags_contain(data["optimal_perceptions"], tag):
+                if not perceptions_intersect(data["optimal_perceptions"], [tag]):
                     failures.append(f"optimal perceptions missing {tag!r}")
         elif key == "count_at_least":
             if data["count"] < int(want):
                 failures.append(f"count {data['count']} below {want}")
-        else:
-            failures.append(f"unknown expect key {key!r}")
     return failures
 
 
-def _run_one_query(scenario: Scenario, q: dict, seed_override) -> dict:
+def _run_one_query(scenario: Scenario, q: dict, lotteries: dict, seed_override) -> dict:
     kind = q["kind"]
     seed = seed_override if seed_override is not None else q.get("seed", scenario.default_seed)
 
     if kind == "evaluate":
         model = scenario.models[q["model"]]
-        res = evaluate(model, _resolve_lottery(scenario, q["lottery"]))
+        res = evaluate(model, lotteries["lottery"])
         return {
             "value": res.value,
             "certainty_equivalent": res.certainty_equivalent,
@@ -567,8 +576,8 @@ def _run_one_query(scenario: Scenario, q: dict, seed_override) -> dict:
     if kind == "compare":
         model = scenario.models[q["model"]]
         tol = _parse_number(q.get("margin", 1e-9), "compare.margin")
-        v_better = evaluate(model, _resolve_lottery(scenario, q["better"])).value
-        v_worse = evaluate(model, _resolve_lottery(scenario, q["worse"])).value
+        v_better = evaluate(model, lotteries["better"]).value
+        v_worse = evaluate(model, lotteries["worse"]).value
         return {
             "value_better": v_better,
             "value_worse": v_worse,
@@ -656,9 +665,7 @@ def _run_one_query(scenario: Scenario, q: dict, seed_override) -> dict:
     if which == "shares_optimal_perception":
         model = scenario.models[q["model"]]
         linear, intersects = shares_optimal_perception_detail(
-            model,
-            _resolve_lottery(scenario, q["P"]),
-            _resolve_lottery(scenario, q["Q"]),
+            model, lotteries["P"], lotteries["Q"]
         )
         return {"holds": linear, "argmax_intersects": intersects}
     if which == "dominates_benefit":
@@ -687,7 +694,9 @@ def _execute_query(scenario, index, q, seed_override, default_tol) -> QueryResul
     name = str(q.get("name", ""))
     start = time.perf_counter()
     try:
-        data = _jsonify(_run_one_query(scenario, q, seed_override))
+        data = _jsonify(
+            _run_one_query(scenario, q, scenario.lotteries[index], seed_override)
+        )
     except Exception as exc:  # runtime failure: report and keep going
         return QueryResult(
             index, kind, name, "error", {}, q.get("expect"),
@@ -710,32 +719,16 @@ def run_queries(
     scenario: Scenario,
     kinds=None,
     *,
-    parallel: bool = False,
     seed_override=None,
     default_tolerance: float = DEFAULT_EXPECT_TOL,
 ) -> Report:
     """Execute the scenario's queries (optionally a subset of kinds) in
     order; per-query errors are recorded and do not stop the run."""
-    selected = [
-        (i, q) for i, q in enumerate(scenario.queries)
+    results = [
+        _execute_query(scenario, i, q, seed_override, default_tolerance)
+        for i, q in enumerate(scenario.queries)
         if kinds is None or q["kind"] in kinds
     ]
-    if parallel and len(selected) > 1:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(8, len(selected))
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _execute_query, scenario, i, q, seed_override, default_tolerance
-                )
-                for i, q in selected
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _execute_query(scenario, i, q, seed_override, default_tolerance)
-            for i, q in selected
-        ]
     return Report(scenario.name, results)
 
 
@@ -744,12 +737,12 @@ def bundled_scenario_paths() -> list[Path]:
     return sorted(root.glob("*.yaml"))
 
 
-def builtin_machina_suite(*, parallel: bool = False) -> Report:
+def builtin_machina_suite() -> Report:
     """Run every bundled scenario and pool the results into one report."""
     results = []
     for path in bundled_scenario_paths():
         scenario = load_scenario(path)
-        sub = run_queries(scenario, parallel=parallel)
+        sub = run_queries(scenario)
         for r in sub.results:
             results.append(
                 QueryResult(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import BeliefSet, StateSpace, UtilityAct
-from .model import CapModel, FiniteFamily, Lottery, ParametricFamily
+from .model import CapModel, FiniteFamily, Lottery, ParametricFamily, serialize_lottery
 
 P_5051 = 50.0 / 101.0
 Q_5051 = 51.0 / 101.0
@@ -162,10 +162,6 @@ def random_box_5051_family(rng, n_members: int = 10, max_vertices: int = 4):
     return sets
 
 
-def _serialize_lottery(P: Lottery):
-    return [[p, a.payoffs.tolist()] for p, a in P.atoms]
-
-
 def stock_separations():
     """(model, axiom_id, witness) triples violating strengthened axioms.
 
@@ -180,8 +176,8 @@ def stock_separations():
 
     sica_witness = {
         "lam": 0.5,
-        "P": _serialize_lottery(Lottery.dirac(f5051["f2"])),
-        "Q": _serialize_lottery(Lottery.constant(STATES_4, 100.2)),
+        "P": serialize_lottery(Lottery.dirac(f5051["f2"])),
+        "Q": serialize_lottery(Lottery.constant(STATES_4, 100.2)),
         "p": 0.0,
     }
     imt_witness = {
@@ -189,7 +185,7 @@ def stock_separations():
         "lam": 0.5,
         "f": blue_bet.payoffs.tolist(),
         "g": red_bet.payoffs.tolist(),
-        "R": _serialize_lottery(R),
+        "R": serialize_lottery(R),
     }
     imtcm_witness = {
         "kappa": 1.0,
@@ -200,8 +196,8 @@ def stock_separations():
     }
     eapr_witness = {
         "lam": 0.5,
-        "P": _serialize_lottery(Lottery.dirac(blue_bet)),
-        "Q": _serialize_lottery(Lottery.dirac(green_bet)),
+        "P": serialize_lottery(Lottery.dirac(blue_bet)),
+        "Q": serialize_lottery(Lottery.dirac(green_bet)),
     }
     return [
         (model_5051(), "A-sica", sica_witness),

@@ -46,6 +46,10 @@ queries:
   - {kind: evaluate, model: main, lottery: f, expect: {value: 99}}
 """
 
+UNKNOWN_EXPECT_KEY = FAILING_EXPECT.replace("expect: {value: 99}", "expect: {valeu: 0.5}")
+
+BAD_PROBABILITIES = FAILING_EXPECT.replace("acts: {f: [1, 0]}", "acts: {f: [1, 0], g: [0, 1]}")
+
 RUNTIME_ERROR = """
 name: erroring
 states: [a, b]
@@ -79,6 +83,16 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "ghost.yaml")]) == 2
+
+    def test_unknown_expect_key(self, tmp_path, capsys):
+        assert main(["eval", _write(tmp_path, UNKNOWN_EXPECT_KEY)]) == 2
+        assert "queries[0].expect.valeu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", ["[[0.7, f], [0.7, g]]", "[[1.5, f], [-0.5, g]]"])
+    def test_lottery_probabilities(self, tmp_path, capsys, pairs):
+        text = BAD_PROBABILITIES.replace("lottery: f", f"lottery: {pairs}")
+        assert main(["eval", _write(tmp_path, text)]) == 2
+        assert "queries[0].lottery" in capsys.readouterr().err
 
 
 class TestVerbsAndFlags:
@@ -117,11 +131,6 @@ class TestVerbsAndFlags:
 
     def test_grid_override_keeps_goldens(self, urn_path, capsys):
         assert main(["--grid", "5", "eval", urn_path]) == 0
-
-    def test_parallel_flag(self, urn_path, capsys):
-        assert main(["--parallel", "--format", "machine", "eval", urn_path]) == 0
-        sequential = json.loads(capsys.readouterr().out)
-        assert all(r["status"] == "ok" for r in sequential["results"])
 
     def test_tolerance_flag_loosens_expect(self, tmp_path, capsys):
         path = _write(tmp_path, FAILING_EXPECT)  # true value 0.5, expect 99

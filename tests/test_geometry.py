@@ -23,6 +23,8 @@ from ambicap import (
     support_value,
     symmetric_vertex_distance,
 )
+from ambicap import geometry
+from ambicap.geometry import _simplex
 from ambicap.sampling import random_belief_set, random_supermodular_capacity
 
 
@@ -156,6 +158,19 @@ class TestConvexCombinationGap:
         points = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert convex_combination_gap(points, np.array([0.25, 0.75])) <= 1e-12
         assert convex_combination_gap(points, np.array([0.5, 0.75])) > 1e-3
+
+
+class TestSimplexKernel:
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_PIVOTS", 2)
+        with pytest.raises(RuntimeError, match="2 pivots"):
+            convex_combination_gap(np.eye(3), np.full(3, 1.0 / 3.0))
+
+    def test_unbounded_column_raises(self):
+        # max x subject to -x + s = 1: x enters and nothing bounds it
+        tab = np.array([[-1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(RuntimeError, match="unbounded along column 0"):
+            _simplex(tab, 1, 10)
 
 
 class TestSubsetAndPrune:

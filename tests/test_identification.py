@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ambicap import (
     BeliefSet,
@@ -24,7 +25,8 @@ from ambicap import (
     support_value,
     symmetric_vertex_distance,
 )
-from ambicap.sampling import LotterySampler
+from ambicap.identification import _dictionary_atoms, _menu_lp
+from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import acts_dual_self, dual_self_model, model_5051
 
 
@@ -164,6 +166,91 @@ class TestCostEstimation:
         d = standard_bet_dictionary(states4)
         with pytest.raises(ValueError):
             estimate_cost_star(model, family.sets[0], d, 100)
+
+
+def _menu_lp_oracle(h, Hmat, costs):
+    """Independent oracle: scipy's LP over (w, z) maximizing h . w - z with
+    z >= Hmat[k] . w - costs[k] and w on the simplex."""
+    n = h.size
+    res = scipy.optimize.linprog(
+        np.append(-h, 1.0),
+        A_ub=np.hstack([Hmat, -np.ones((len(costs), 1))]),
+        b_ub=costs,
+        A_eq=np.append(np.ones(n), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def _tables(model, member, atoms, thetas=None):
+    payoffs = np.vstack([a.payoffs for a in atoms])
+    h = (member.matrix @ payoffs.T).min(axis=0)
+    family = model.family
+    if thetas is None:
+        return h, family.meu_matrix(payoffs), family.costs
+    Hmat = np.vstack([(family.vertex_matrix_at(t) @ payoffs.T).min(axis=0) for t in thetas])
+    return h, Hmat, np.array([family.cost_at(t) for t in thetas])
+
+
+class TestCostLP:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_menu_lp_matches_oracle_on_parametric_grids(self, seed, random_parametric_family):
+        rng = np.random.default_rng(seed)
+        states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+        family = random_parametric_family(states, rng)
+        model = CapModel(states, family, "cap")
+        member = family.member_at(rng.uniform(0.0, 1.0, family.n_params))
+        atoms = _dictionary_atoms(standard_bet_dictionary(states), states)
+        h, Hmat, costs = _tables(model, member, atoms, family.thetas)
+        w = _menu_lp(h, Hmat, costs, 5000)
+        assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+        got = h @ w - np.max(Hmat @ w - costs)
+        want = _menu_lp_oracle(h, Hmat, costs)
+        assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_estimate_is_the_full_ladder_optimum_on_finite_families(self, seed):
+        # the oracle sees every rung of the ladder; the estimator only the top
+        rng = np.random.default_rng(seed)
+        states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+        model = random_cap_model(states, rng, variant="cap")
+        member = model.family.sets[int(rng.integers(len(model.family)))]
+        d = standard_bet_dictionary(states)
+        atoms = [UtilityAct(states, np.zeros(len(states)))] + [
+            UtilityAct(states, alpha * a.payoffs) for a in d.acts for alpha in d.ladder
+        ]
+        want = _menu_lp_oracle(*_tables(model, member, atoms))
+        est = estimate_cost_star(model, member, d)
+        assert est.value == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+
+    def test_budget_caps_the_pivots(self, urn_small):
+        member = urn_small.family.member_at((0.0, 0.0))
+        d = standard_bet_dictionary(urn_small.states)
+        with pytest.raises(RuntimeError, match="within 1 pivots"):
+            estimate_cost_star(urn_small, member, d, budget=1)
+
+    def test_cutting_planes_beat_the_grid_witness(self, random_parametric_family):
+        # An LP over the grid members alone picks a witness lottery that a
+        # member off the grid values more highly, so it certifies 11 utils
+        # less.  Adding each witness's optimal theta as a cut closes the gap,
+        # up to the member's own cost, which no lottery can exceed.
+        rng = np.random.default_rng(6)
+        states = StateSpace(["s0", "s1", "s2"])
+        family = random_parametric_family(states, rng)
+        model = CapModel(states, family, "cap")
+        theta = rng.uniform(0.0, 1.0, family.n_params)
+        member = family.member_at(theta)
+        d = standard_bet_dictionary(states)
+        atoms = _dictionary_atoms(d, states)
+        h, Hmat, costs = _tables(model, member, atoms, family.thetas)
+        w = _menu_lp(h, Hmat, costs, 5000)
+        grid_witness = Lottery([(p, a) for p, a in zip(w, atoms) if p > 0.0])
+        certified = h @ w - evaluate_value(model, grid_witness)
+        est = estimate_cost_star(model, member, d).value
+        assert certified + 10.0 < est <= family.cost_at(theta) + 1e-9
 
 
 class TestCheckCanonical:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 
 from ambicap import (
@@ -9,6 +10,7 @@ from ambicap import (
     CapModel,
     FiniteFamily,
     Lottery,
+    ParametricFamily,
     StateSpace,
     UtilityAct,
     VARIANTS,
@@ -222,6 +224,70 @@ class TestParametricFiniteAgreement:
             )
 
 
+def _ridge_model(grid_resolution):
+    """Act (4, 0, -4) against vertex rows (1/4 + pi_i/8, 1/2, 1/4 - pi_i/8)
+    with pi = (2x - y, 2y - x, 1 - x - y), at zero cost.  Row i's expected
+    payoff is pi_i, so the value max over theta of min_i pi_i is 1/3, at
+    x = y = 1/3, off every grid below and on a ridge of the score."""
+    states = StateSpace(["s1", "s2", "s3"])
+    pieces = np.array([[0.0, 2.0, -1.0], [0.0, -1.0, 2.0], [1.0, -1.0, -1.0]])
+    entry = np.array([1.0, 0.0, -1.0]) / 8.0
+    base = 0.25 + np.array([[0.0, 0.25, 0.0]]) + pieces[:, :1] * entry
+    coefs = np.stack([pieces[:, j : j + 1] * entry for j in (1, 2)])
+    family = ParametricFamily(states, base, coefs, 0.0, [0.0, 0.0], grid_resolution)
+    act = UtilityAct(states, [4.0, 0.0, -4.0])
+    return CapModel(states, family, "cap"), Lottery.dirac(act)
+
+
+def _lp_value_oracle(family, P):
+    """Independent oracle for the cap value: scipy's LP over (theta, t)
+    maximizing sum_m p_m t_m - cost(theta) with t_m <= E_v(theta)[atom m]."""
+    k, n_atoms = family.n_params, len(P)
+    rows, rhs = [], []
+    for v in range(family.vertex_base.shape[0]):
+        for m, (_, act) in enumerate(P.atoms):
+            row = np.zeros(k + n_atoms)
+            row[:k] = -family.vertex_coefs[:, v, :] @ act.payoffs
+            row[k + m] = 1.0
+            rows.append(row)
+            rhs.append(family.vertex_base[v] @ act.payoffs)
+    res = scipy.optimize.linprog(
+        np.concatenate([family.cost_coefs, -P.probs]),
+        A_ub=np.array(rows),
+        b_ub=rhs,
+        bounds=[(0.0, 1.0)] * k + [(None, None)] * n_atoms,
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun - family.cost_base
+
+
+class TestParametricExactness:
+    @pytest.mark.parametrize("grid", [2, 11, 101])
+    def test_ridge_family_value_is_one_third(self, grid):
+        model, P = _ridge_model(grid)
+        result = evaluate(model, P)
+        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert evaluate_value(model, P) == result.value
+        assert any(
+            max(abs(x - 1.0 / 3.0) for x in theta) < 1e-9
+            for theta in result.optimal_perceptions
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cap_value_matches_lp_oracle(self, seed, random_parametric_family):
+        rng = np.random.default_rng(seed)
+        states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+        model = CapModel(states, random_parametric_family(states, rng), "cap")
+        sampler = LotterySampler(states, seed=seed)
+        for _ in range(5):
+            P = mix_lotteries(0.5, *sampler.pair())
+            want = _lp_value_oracle(model.family, P)
+            assert evaluate_value(model, P) == pytest.approx(
+                want, abs=1e-9 * max(1.0, abs(want))
+            )
+
+
 class TestChoquetVariant:
     @given(st.integers(0, 2**31 - 1))
     def test_choquet_matches_core_route(self, seed):
@@ -274,6 +340,15 @@ class TestConstructionRules:
         g = UtilityAct(states4, (8.0, 0.0, 0.0, 0.0))
         h = mix_acts(0.25, f, g)
         assert h.payoffs.tolist() == [6.0, 1.0, 0.0, 0.0]
+
+    def test_mix_lotteries_drops_underflowing_atoms(self, states4):
+        # 5e-324 * 0.25 rounds to 0.0, which no lottery atom may carry;
+        # 5e-324 * 0.75 rounds to 5e-324 and stays
+        f = UtilityAct(states4, (0.0, 4.0, 0.0, 0.0))
+        P = Lottery([(0.25, f), (0.75, constant_act(states4, 1.0))])
+        Q = Lottery.constant(states4, 2.0)
+        mixed = mix_lotteries(5e-324, P, Q)
+        assert [a.payoffs.tolist() for _, a in mixed.atoms] == [[1.0] * 4, [2.0] * 4]
 
     def test_family_requires_grounded_costs(self, states4):
         M = BeliefSet(states4, np.eye(4))

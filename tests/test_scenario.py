@@ -204,13 +204,6 @@ class TestExecution:
         assert a == b
         assert '"duration"' not in a and "duration_s" not in a
 
-    def test_parallel_matches_sequential(self):
-        for path in bundled_scenario_paths():
-            scenario = load_scenario(path)
-            seq = run_queries(scenario).to_machine()
-            par = run_queries(scenario, parallel=True).to_machine()
-            assert seq == par
-
     def test_human_report_includes_timing_and_summary(self, tmp_path):
         report = run_queries(load_scenario(_write(tmp_path, MINIMAL)))
         text = report.to_human()
