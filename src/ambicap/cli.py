@@ -8,8 +8,8 @@ Verbs:
     report SCENARIO     run every query in the scenario
     suite               run the bundled reference scenarios
 
-Exit codes: 0 success, 1 an expectation failed, 2 scenario validation
-error, 3 a query raised an internal error.
+Exit codes: 0 success, 1 an expectation failed, 2 the scenario file is
+malformed (found at load, before any query runs), 3 a query raised.
 """
 
 from __future__ import annotations

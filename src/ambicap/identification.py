@@ -26,7 +26,6 @@ from .geometry import (
     StateSpace,
     UtilityAct,
     _simplex,
-    convex_combination_gap,
     is_subset,
     mix_sets,
     prune_vertices,
@@ -46,6 +45,8 @@ from .model import (
 # affine dependences among candidate rows instead of repeating them.
 _PERTURBATION = np.random.default_rng(0).uniform(1e-8, 2e-8, 1024)
 
+_DICTIONARY_SCALE = 1000.0  # scale of each dictionary act in the cost LP
+
 
 def normalize_act(act: UtilityAct) -> UtilityAct:
     """Shift the first-state payoff to 0 and rescale to max |payoff| 1."""
@@ -58,10 +59,9 @@ def normalize_act(act: UtilityAct) -> UtilityAct:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Finite set of normalized payoff directions with a scale ladder."""
+    """Finite set of normalized payoff directions."""
 
     acts: tuple
-    ladder: tuple = (1.0, 10.0, 100.0, 1000.0)
 
     def __post_init__(self):
         acts = tuple(self.acts)
@@ -78,14 +78,10 @@ class Dictionary:
             if key in seen:
                 raise ValueError("dictionary acts must be distinct")
             seen.add(key)
-        ladder = tuple(float(x) for x in self.ladder)
-        if not ladder or any(x <= 0.0 for x in ladder):
-            raise ValueError("scale ladder must be positive reals")
         object.__setattr__(self, "acts", acts)
-        object.__setattr__(self, "ladder", ladder)
 
 
-def standard_bet_dictionary(states: StateSpace, ladder=(1.0, 10.0, 100.0, 1000.0)) -> Dictionary:
+def standard_bet_dictionary(states: StateSpace) -> Dictionary:
     """Indicator bets on each state, their negatives, and pairwise
     differences, all normalized and deduplicated."""
     n = len(states)
@@ -100,7 +96,7 @@ def standard_bet_dictionary(states: StateSpace, ladder=(1.0, 10.0, 100.0, 1000.0
         if key not in seen:
             seen.add(key)
             acts.append(a)
-    return Dictionary(tuple(acts), ladder)
+    return Dictionary(tuple(acts))
 
 
 @dataclass(frozen=True)
@@ -126,17 +122,16 @@ class CanonicalReport:
 
 def _dictionary_atoms(dictionary: Dictionary, states: StateSpace):
     """Zero act first (it pins the estimate's floor at exactly 0), then
-    every dictionary act at the top of the ladder.
+    every dictionary act scaled by ``_DICTIONARY_SCALE``.
 
-    Lower rungs add nothing: MEU is positively homogeneous, so weight q on
-    alpha * psi is matched by weight q * alpha / max(ladder) on the top
-    rung, with the rest moved to the zero act, which scores 0 under every
-    perception.  Leaving them out keeps the LP's columns from being
-    rescaled copies of one another.
+    Smaller scales add nothing: MEU is positively homogeneous, so weight q
+    on alpha * psi (alpha <= _DICTIONARY_SCALE) is matched by weight
+    q * alpha / _DICTIONARY_SCALE on the scaled act, with the rest moved to
+    the zero act, which scores 0 under every perception.  One scale keeps
+    the LP's columns from being rescaled copies of one another.
     """
-    top = max(dictionary.ladder)
     return [constant_act(states, 0.0)] + [
-        UtilityAct(states, top * psi.payoffs) for psi in dictionary.acts
+        UtilityAct(states, _DICTIONARY_SCALE * psi.payoffs) for psi in dictionary.acts
     ]
 
 
@@ -260,10 +255,12 @@ def check_canonical(family) -> CanonicalReport:
     """Check inclusion-monotonicity of costs and convexity of the structure.
 
     Parametric families are sampled onto their grid first.  Mixture
-    convexity is checked on support-function fingerprints: the mixture of
-    two members must be expressible as a weighted combination of members
-    (hull feasibility), and whenever it coincides with an actual member
-    that member's cost must respect the convexity inequality.
+    convexity is checked on support-function fingerprints: whenever the
+    mixture of two members coincides with an actual member, that member's
+    cost must respect the convexity inequality.  ``hull_gaps`` is always
+    empty: support functions are Minkowski-linear, so a mixture's
+    fingerprint is the same mixture of two fingerprint rows and lies in
+    their hull by construction.
     """
     if isinstance(family, ParametricFamily):
         family = family.to_finite()
@@ -282,14 +279,10 @@ def check_canonical(family) -> CanonicalReport:
     fingerprints = np.vstack([_support_vector(M, dirs) for M in sets])
 
     convexity = []
-    hull_gaps = []
     for i in range(K):
         for j in range(i + 1, K):
             for lam in lambdas:
                 target = lam * fingerprints[i] + (1.0 - lam) * fingerprints[j]
-                gap = convex_combination_gap(fingerprints, target)
-                if gap > 1e-9:
-                    hull_gaps.append((i, j, lam, float(gap)))
                 bound = lam * costs[i] + (1.0 - lam) * costs[j]
                 near = np.flatnonzero(
                     np.abs(fingerprints - target).max(axis=1) <= 1e-9
@@ -305,10 +298,10 @@ def check_canonical(family) -> CanonicalReport:
                     break
 
     return CanonicalReport(
-        canonical=not (mono or convexity or hull_gaps),
+        canonical=not (mono or convexity),
         monotonicity_violations=tuple(mono),
         cost_convexity_violations=tuple(convexity),
-        hull_gaps=tuple(hull_gaps),
+        hull_gaps=(),
         members_checked=K,
         lambdas=lambdas,
     )

@@ -7,6 +7,13 @@ Numbers may be written as exact rationals ("50/101"); parametric vertex
 entries and costs are affine expressions in the declared parameters
 ("25/101 + 25/101*beta").
 
+Loading binds each query once: the builder of its kind takes each key
+exactly once (a key it does not take is an error), parses it with its
+path in the file, resolves the names, and parses ``expect`` into checks.
+So a malformed file raises ``ScenarioError`` before any query runs, and
+running a query only calls its ``run(seed)`` closure, which holds the
+expensive work (evaluation, sampling, canonical audits).
+
 Queries run in order, each deterministic given its seed; the report has a
 human rendering (with timings) and a canonical machine rendering that is
 byte-identical across runs of the same scenario and seeds.
@@ -17,9 +24,11 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -51,34 +60,6 @@ from .model import CapModel, FiniteFamily, Lottery, ParametricFamily, VARIANTS, 
 from .sampling import LotterySampler
 
 DEFAULT_EXPECT_TOL = 1e-6
-
-_QUERY_KINDS = (
-    "evaluate",
-    "compare",
-    "axioms",
-    "identify",
-    "comparatives",
-    "machina_property",
-)
-_EXPECT_KEYS = (
-    "tolerance",
-    "value",
-    "holds",
-    "canonical",
-    "is_lower_bound",
-    "shares",
-    "lower",
-    "upper",
-    "optimal_contains",
-    "count_at_least",
-)
-_COMPARATIVES = (
-    "more_tolerant_ea_randomization",
-    "more_tolerant_ambiguity",
-    "higher_filtering_incentives",
-    "dominates_benefit",
-    "shares_optimal_perception",
-)
 
 
 class ScenarioError(ValueError):
@@ -148,6 +129,21 @@ def _parse_affine(value, params: tuple[str, ...], path: str):
     return const, [coefs[p] for p in params]
 
 
+@dataclass(frozen=True)
+class BoundQuery:
+    """A query bound at load: ``run(seed)`` returns its data, and each of
+    ``checks`` maps (data, tolerance) to a failure message or None.
+    ``expect`` is the file's raw mapping, which the report shows."""
+
+    kind: str
+    name: str
+    seed: int
+    expect: dict | None
+    checks: tuple
+    tolerance: float | None
+    run: Callable[[int], dict]
+
+
 @dataclass
 class Scenario:
     """A validated scenario: every name resolvable, every object consistent."""
@@ -158,14 +154,21 @@ class Scenario:
     acts: dict[str, UtilityAct]
     families: dict
     models: dict[str, CapModel]
-    queries: list[dict]
+    queries: list[BoundQuery]
     default_seed: int = 0
     source: dict = field(default_factory=dict, repr=False)
-    lotteries: list[dict] = field(default_factory=list, repr=False)  # per query, by key
 
     def to_dict(self) -> dict:
         """Serializable form; reloading it yields an equal scenario."""
         return json.loads(json.dumps(self.source))
+
+
+def _construct(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError reported at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
 
 
 def _require_map(obj, path: str) -> dict:
@@ -210,14 +213,8 @@ def _build_finite_family(states, spec, path):
             for r, row in enumerate(rows)
         ]
         cost = _parse_number(member.get("cost", 0.0), f"{mpath}.cost")
-        try:
-            members.append((BeliefSet(states, matrix), cost))
-        except ValueError as exc:
-            raise ScenarioError(mpath, str(exc)) from exc
-    try:
-        return FiniteFamily(members)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+        members.append((_construct(mpath, BeliefSet, states, matrix), cost))
+    return _construct(path, FiniteFamily, members)
 
 
 def _build_parametric_family(states, spec, path, grid_override):
@@ -242,12 +239,10 @@ def _build_parametric_family(states, spec, path, grid_override):
             const, cvec = _parse_affine(entry, params, f"{path}.vertices[{r}][{c}]")
             base[r, c] = const
             coefs[:, r, c] = cvec
-    try:
-        return ParametricFamily(
-            states, base, coefs, cost_base, cost_coefs, grid, param_names=params
-        )
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    return _construct(
+        path, ParametricFamily, states, base, coefs, cost_base, cost_coefs, grid,
+        param_names=params,
+    )
 
 
 def _build_families(states, raw, grid_override):
@@ -270,122 +265,321 @@ def _build_models(states, raw, families):
     for name, spec in _require_map(raw, "models").items():
         path = f"models.{name}"
         spec = _require_map(spec, path)
-        fam_name = spec.get("family")
-        if fam_name not in families:
-            raise ScenarioError(f"{path}.family", f"undefined family {fam_name!r}")
+        family = _lookup(families, spec.get("family"), f"{path}.family", "family")
         variant = spec.get("variant", "cap")
         if variant not in VARIANTS:
-            raise ScenarioError(
-                f"{path}.variant", f"unknown variant {variant!r}; expected {VARIANTS}"
-            )
-        try:
-            models[name] = CapModel(states, families[fam_name], variant)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
+            message = f"unknown variant {variant!r}; expected {VARIANTS}"
+            raise ScenarioError(f"{path}.variant", message)
+        models[name] = _construct(path, CapModel, states, family, variant)
     return models
 
 
-def _validate_lottery_ref(scenario_acts, ref, path) -> Lottery:
-    """The lottery a reference names; probabilities must be positive and
-    sum to 1."""
-    if isinstance(ref, str):
-        if ref not in scenario_acts:
-            raise ScenarioError(path, f"undefined act {ref!r}")
-        return Lottery.dirac(scenario_acts[ref])
-    if isinstance(ref, list) and ref:
+def _lookup(table: dict, name, path: str, what: str):
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        known = ", ".join(map(str, table))
+        raise ScenarioError(path, f"unknown {what} {name!r}; expected one of {known}") from None
+
+
+def _parse_int(value, path: str, low: int, high: float = float("inf")) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ScenarioError(path, f"expected an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _parse_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _parse_member(family, value, path):
+    """An index into a finite family, or a theta in a parametric one's box."""
+    if isinstance(family, FiniteFamily):
+        return _parse_int(value, path, 0, len(family) - 1)
+    if not isinstance(value, list) or len(value) != family.n_params:
+        raise ScenarioError(path, f"expected a list of {family.n_params} parameters")
+    theta = tuple(_parse_number(x, f"{path}[{i}]") for i, x in enumerate(value))
+    if not all(0.0 <= t <= 1.0 for t in theta):
+        raise ScenarioError(path, f"parameters {value!r} outside [0, 1]")
+    return theta
+
+
+class _Keys:
+    """The keys of one mapping in the file, each taken at most once;
+    ``close`` rejects the keys nobody took, with their path."""
+
+    def __init__(self, raw, path: str):
+        self.left = dict(_require_map(raw, path))
+        self.path = path
+
+    def at(self, key: str) -> str:
+        return f"{self.path}.{key}"
+
+    def take(self, key: str, default=None):
+        return self.left.pop(key, default)
+
+    def named(self, key: str, table: dict, what: str):
+        return _lookup(table, self.take(key), self.at(key), what)
+
+    def lottery(self, key: str, acts: dict) -> Lottery:
+        """An act name, or [probability, act] pairs with a valid distribution."""
+        ref, path = self.take(key), self.at(key)
+        if isinstance(ref, str):
+            return Lottery.dirac(_lookup(acts, ref, path, "act"))
+        if not (isinstance(ref, list) and ref):
+            raise ScenarioError(path, "expected an act name or [probability, act] pairs")
         atoms = []
         for i, pair in enumerate(ref):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ScenarioError(f"{path}[{i}]", "expected [probability, act name]")
             prob = _parse_number(pair[0], f"{path}[{i}][0]")
-            if pair[1] not in scenario_acts:
-                raise ScenarioError(f"{path}[{i}][1]", f"undefined act {pair[1]!r}")
-            atoms.append((prob, scenario_acts[pair[1]]))
-        try:
-            return Lottery(atoms)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-    raise ScenarioError(path, "expected an act name or [probability, act] pairs")
+            atoms.append((prob, _lookup(acts, pair[1], f"{path}[{i}][1]", "act")))
+        return _construct(path, Lottery, atoms)
+
+    def integer(self, key: str, default, low: int = 1) -> int:
+        return _parse_int(self.take(key, default), self.at(key), low)
+
+    def close(self):
+        for key in self.left:
+            raise ScenarioError(self.at(key), f"unknown key {key!r}")
 
 
-def _validate_query(scenario_parts, q, path) -> dict:
-    """Check one query; returns the lotteries it names, by key."""
-    states, acts, families, models = scenario_parts
-    q = _require_map(q, path)
-    kind = q.get("kind")
-    if kind not in _QUERY_KINDS:
-        raise ScenarioError(f"{path}.kind", f"unknown kind {kind!r}; expected {_QUERY_KINDS}")
-    if "expect" in q:
-        for key in _require_map(q["expect"], f"{path}.expect"):
-            if key not in _EXPECT_KEYS:
-                raise ScenarioError(f"{path}.expect.{key}", f"unknown expect key {key!r}")
-    lotteries = {}
+def _check(field, parse, fails, message):
+    """Parser of one expect key: parses the wanted value and returns a check,
+    which maps (data, tolerance) to a failure message or None."""
 
-    def need_lottery(key):
-        lotteries[key] = _validate_lottery_ref(acts, q.get(key), f"{path}.{key}")
+    def parser(want, path):
+        w = parse(want, path)
+        return lambda data, tol: (
+            message.format(got=data[field], want=want, w=w, tol=tol)
+            if fails(data[field], w, tol) else None
+        )
+    return parser
 
-    def need_model(key="model"):
-        if q.get(key) not in models:
-            raise ScenarioError(f"{path}.{key}", f"undefined model {q.get(key)!r}")
 
-    def need_family(key="family"):
-        if q.get(key) not in families:
-            raise ScenarioError(f"{path}.{key}", f"undefined family {q.get(key)!r}")
+def _flag(key, field=None):
+    return _check(field or key, _parse_bool, lambda got, w, tol: got != w,
+                  key + " is {got}, expected {want}")
 
-    if kind == "evaluate":
-        need_model()
-        need_lottery("lottery")
-    elif kind == "compare":
-        need_model()
-        need_lottery("better")
-        need_lottery("worse")
-    elif kind == "axioms":
-        need_model()
-        listed = q.get("axioms")
-        if listed is not None:
-            if not isinstance(listed, list):
-                raise ScenarioError(f"{path}.axioms", "expected a list of axiom ids")
-            for a in listed:
-                if a not in AXIOM_IDS:
-                    raise ScenarioError(f"{path}.axioms", f"unknown axiom id {a!r}")
-    elif kind == "machina_property":
-        need_family()
-        if not isinstance(families[q["family"]], FiniteFamily):
-            raise ScenarioError(f"{path}.family", "expected a finite family")
-    elif kind == "identify":
-        mode = q.get("mode", "cost")
-        if mode not in ("cost", "canonical", "core"):
-            raise ScenarioError(f"{path}.mode", f"unknown identify mode {mode!r}")
-        if mode == "cost":
-            need_model()
-            member = _require_map(q.get("member"), f"{path}.member")
-            fam = member.get("family")
-            if fam not in families:
-                raise ScenarioError(f"{path}.member.family", f"undefined family {fam!r}")
-            if isinstance(families[fam], FiniteFamily):
-                if not isinstance(member.get("index"), int):
-                    raise ScenarioError(f"{path}.member.index", "expected an integer")
-            elif not isinstance(member.get("theta"), list):
-                raise ScenarioError(f"{path}.member.theta", "expected a parameter list")
-        elif mode == "canonical":
-            need_family()
+
+_HOLDS = {"holds": _flag("holds")}
+_VALUE = {
+    "value": _check("value", _parse_number, lambda got, w, tol: abs(got - w) > tol,
+                    "value {got!r} != {w!r} (tol {tol})"),
+    "lower": _check("value", _parse_number, lambda got, w, tol: got < w,
+                    "value {got!r} below {want!r}"),
+    "upper": _check("value", _parse_number, lambda got, w, tol: got > w,
+                    "value {got!r} above {want!r}"),
+}
+
+
+def _optimal_contains(family):
+    def parser(want, path):
+        if not isinstance(want, list):
+            raise ScenarioError(path, "expected a list of perceptions")
+        tags = [(t, _parse_member(family, t, f"{path}[{i}]")) for i, t in enumerate(want)]
+        return lambda data, tol: "; ".join(
+            f"optimal perceptions missing {raw!r}" for raw, tag in tags
+            if not perceptions_intersect(data["optimal_perceptions"], [tag])
+        ) or None
+    return parser
+
+
+def _parse_expect(raw, path: str, parsers: dict):
+    """The checks of an ``expect`` mapping in its order, and its tolerance
+    (None leaves the run's default)."""
+    checks, tol = [], None
+    for key, want in _require_map(raw, path).items():
+        kpath = f"{path}.{key}"
+        if key == "tolerance" and "value" in parsers:
+            tol = _parse_number(want, kpath)
+            if tol < 0.0:
+                raise ScenarioError(kpath, "expected a nonnegative tolerance")
+        elif key in parsers:
+            checks.append(parsers[key](want, kpath))
         else:
-            need_model()
-    elif kind == "comparatives":
-        which = q.get("which")
-        if which not in _COMPARATIVES:
-            raise ScenarioError(f"{path}.which", f"unknown comparative {which!r}")
-        if which == "shares_optimal_perception":
-            need_model()
-            need_lottery("P")
-            need_lottery("Q")
-        elif which == "dominates_benefit":
-            need_family("family1")
-            need_family("family2")
-        else:
-            need_model("model1")
-            need_model("model2")
-    return lotteries
+            raise ScenarioError(kpath, f"unknown expect key {key!r} for this query")
+    return tuple(checks), tol
+
+
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+# One builder per query kind: it takes its keys from ``q`` and returns the
+# closure that runs the query and the parsers of the expect keys it allows.
+
+
+def _bind_evaluate(s: Scenario, q: _Keys):
+    model, lottery = q.named("model", s.models, "model"), q.lottery("lottery", s.acts)
+
+    def run(seed):
+        res = evaluate(model, lottery)
+        return _fields(res, "value", "certainty_equivalent", "optimal_perceptions")
+    return run, {**_VALUE, "optimal_contains": _optimal_contains(model.family)}
+
+
+def _bind_compare(s: Scenario, q: _Keys):
+    model = q.named("model", s.models, "model")
+    better, worse = q.lottery("better", s.acts), q.lottery("worse", s.acts)
+    margin = _parse_number(q.take("margin", 1e-9), q.at("margin"))
+
+    def run(seed):
+        v_better, v_worse = evaluate(model, better).value, evaluate(model, worse).value
+        return {"value_better": v_better, "value_worse": v_worse,
+                "holds": bool(v_better > v_worse + margin)}
+    return run, _HOLDS
+
+
+def _bind_axioms(s: Scenario, q: _Keys):
+    model = q.named("model", s.models, "model")
+    listed = q.take("axioms")
+    if listed is not None and not (
+        isinstance(listed, list) and all(a in AXIOM_IDS for a in listed)
+    ):
+        raise ScenarioError(q.at("axioms"), f"expected a list of axiom ids from {AXIOM_IDS}")
+    trials = q.integer("trials", 1000)
+
+    def run(seed):
+        reports = [
+            check_axiom(model, axiom_id, LotterySampler(s.states, seed=seed), trials)
+            for axiom_id in listed or necessary_axioms(model)
+        ]
+        return {"holds": all(r.holds for r in reports), "reports": [
+            _fields(r, "axiom_id", "holds", "trials", "counterexample") for r in reports
+        ]}
+    return run, _HOLDS
+
+
+def _bind_machina_property(s: Scenario, q: _Keys):
+    family = q.named("family", s.families, "family")
+    if not isinstance(family, FiniteFamily):
+        raise ScenarioError(q.at("family"), "expected a finite family")
+
+    def run(seed):
+        sampler = LotterySampler(s.states, seed=seed)
+        rep = machina_5051_dual_self_property(list(family.sets), sampler)
+        return _fields(rep, "holds", "trials", "counterexample")
+    return run, _HOLDS
+
+
+def _parse_dictionary(s: Scenario, q: _Keys) -> Dictionary:
+    names, path = q.take("dictionary"), q.at("dictionary")
+    if names is None:
+        return standard_bet_dictionary(s.states)
+    if not isinstance(names, list):
+        raise ScenarioError(path, "expected a list of act names")
+    acts = [
+        _construct(f"{path}[{i}]", normalize_act, _lookup(s.acts, name, f"{path}[{i}]", "act"))
+        for i, name in enumerate(names)
+    ]
+    return _construct(path, Dictionary, tuple(acts))
+
+
+def _bind_identify(s: Scenario, q: _Keys):
+    mode = q.take("mode", "cost")
+    if mode == "canonical":
+        family = q.named("family", s.families, "family")
+
+        def run(seed):
+            return _fields(check_canonical(family), "canonical", "members_checked",
+                           "monotonicity_violations", "cost_convexity_violations", "hull_gaps")
+        return run, {"canonical": _flag("canonical")}
+    if mode not in ("cost", "core"):
+        raise ScenarioError(q.at("mode"), f"unknown identify mode {mode!r}")
+    model = q.named("model", s.models, "model")
+    if mode == "core":
+        samples = q.integer("samples", 200)
+
+        def run(seed):
+            sets = estimate_multi_meu_core(model, LotterySampler(s.states, seed=seed), samples)
+            return {"count": len(sets), "sets": [M.matrix for M in sets]}
+        return run, {"count_at_least": _check(
+            "count", lambda v, path: _parse_int(v, path, 0),
+            lambda got, w, tol: got < w, "count {got} below {want}")}
+
+    ref = _Keys(q.take("member"), q.at("member"))
+    family = ref.named("family", s.families, "family")
+    key = "index" if isinstance(family, FiniteFamily) else "theta"
+    tag = _parse_member(family, ref.take(key), ref.at(key))
+    ref.close()
+    member = family.sets[tag] if key == "index" else family.member_at(tag)
+    dictionary, budget = _parse_dictionary(s, q), q.integer("budget", 5000)
+
+    def run(seed):
+        est = estimate_cost_star(model, member, dictionary, budget)
+        return {**_fields(est, "value", "is_lower_bound"),
+                "witness_atoms": len(est.support_witness)}
+    return run, {**_VALUE, "is_lower_bound": _flag("is_lower_bound")}
+
+
+def _bind_shares(s: Scenario, q: _Keys):
+    model = q.named("model", s.models, "model")
+    P, Q = q.lottery("P", s.acts), q.lottery("Q", s.acts)
+
+    def run(seed):
+        linear, intersects = shares_optimal_perception_detail(model, P, Q)
+        return {"holds": linear, "argmax_intersects": intersects}
+    return run, {**_HOLDS, "shares": _flag("shares", "holds")}
+
+
+def _bind_dominates(s: Scenario, q: _Keys):
+    families = [q.named(key, s.families, "family") for key in ("family1", "family2")]
+    samples = q.integer("samples", 2000)
+
+    def run(seed):
+        sets1, sets2 = (
+            list(f.sets if isinstance(f, FiniteFamily) else f.to_finite().sets) for f in families
+        )
+        sampler = LotterySampler(s.states, seed=seed)
+        return {"holds": dominates_benefit(sets1, sets2, sampler, samples)}
+    return run, _HOLDS
+
+
+def _bind_ordering(order, s: Scenario, q: _Keys):
+    model1, model2 = (q.named(key, s.models, "model") for key in ("model1", "model2"))
+    samples = q.integer("samples", 2000)
+
+    def run(seed):
+        verdict = order(model1, model2, LotterySampler(s.states, seed=seed), samples)
+        return _fields(verdict, "holds", "samples_used", "counterexample")
+    return run, _HOLDS
+
+
+def _bind_comparatives(s: Scenario, q: _Keys):
+    builders = {
+        "more_tolerant_ea_randomization": partial(_bind_ordering, more_tolerant_ea_randomization),
+        "more_tolerant_ambiguity": partial(_bind_ordering, more_tolerant_ambiguity),
+        "higher_filtering_incentives": partial(_bind_ordering, higher_filtering_incentives),
+        "dominates_benefit": _bind_dominates,
+        "shares_optimal_perception": _bind_shares,
+    }
+    return q.named("which", builders, "comparative")(s, q)
+
+
+_BUILDERS = {
+    "evaluate": _bind_evaluate,
+    "compare": _bind_compare,
+    "axioms": _bind_axioms,
+    "identify": _bind_identify,
+    "comparatives": _bind_comparatives,
+    "machina_property": _bind_machina_property,
+}
+
+
+def _bind_query(s: Scenario, raw, path: str) -> BoundQuery:
+    q = _Keys(raw, path)
+    kind = q.take("kind")
+    builder = _lookup(_BUILDERS, kind, q.at("kind"), "kind")
+    name = str(q.take("name", ""))
+    seed = q.integer("seed", s.default_seed, low=0)
+    expect = q.take("expect")
+    run, parsers = builder(s, q)
+    checks, tol = ((), None) if expect is None else _parse_expect(expect, q.at("expect"), parsers)
+    q.close()
+    return BoundQuery(kind, name, seed, expect, checks, tol, run)
 
 
 def load_scenario(path, *, grid_resolution=None, default_seed=None) -> Scenario:
@@ -410,10 +604,7 @@ def scenario_from_dict(
     labels = raw.get("states")
     if not isinstance(labels, list) or len(labels) < 2:
         raise ScenarioError("states", "expected a list of at least two labels")
-    try:
-        states = StateSpace(labels)
-    except ValueError as exc:
-        raise ScenarioError("states", str(exc)) from exc
+    states = _construct("states", StateSpace, labels)
 
     table_raw = raw.get("utility_table", {})
     utility_table = {
@@ -427,24 +618,15 @@ def scenario_from_dict(
     queries = raw.get("queries", [])
     if not isinstance(queries, list):
         raise ScenarioError("queries", "expected a list")
-    lotteries = [
-        _validate_query((states, acts, families, models), q, f"queries[{i}]")
-        for i, q in enumerate(queries)
-    ]
-
     seed = raw.get("seed", 0) if default_seed is None else default_seed
-    return Scenario(
-        name=str(raw.get("name", name_hint)),
-        states=states,
-        utility_table=utility_table,
-        acts=acts,
-        families=families,
-        models=models,
-        queries=list(queries),
-        lotteries=lotteries,
-        default_seed=int(seed),
-        source=raw,
+    scenario = Scenario(
+        str(raw.get("name", name_hint)), states, utility_table, acts, families, models,
+        queries=[], default_seed=_parse_int(seed, "seed", 0), source=raw,
     )
+    scenario.queries = [
+        _bind_query(scenario, q, f"queries[{i}]") for i, q in enumerate(queries)
+    ]
+    return scenario
 
 
 @dataclass
@@ -515,14 +697,10 @@ class Report:
 
 
 def _jsonify(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
     if isinstance(obj, dict):
@@ -530,188 +708,21 @@ def _jsonify(obj):
     return obj
 
 
-def _check_expect(data: dict, expect: dict, default_tol: float):
-    failures = []
-    tol = _parse_number(expect.get("tolerance", default_tol), "expect.tolerance")
-    for key, want in expect.items():
-        if key == "tolerance":
-            continue
-        if key == "value":
-            want_v = _parse_number(want, "expect.value")
-            if abs(data["value"] - want_v) > tol:
-                failures.append(f"value {data['value']!r} != {want_v!r} (tol {tol})")
-        elif key in ("holds", "canonical", "is_lower_bound", "shares"):
-            got = data.get("holds" if key == "shares" else key)
-            if got != bool(want):
-                failures.append(f"{key} is {got}, expected {want}")
-        elif key == "lower":
-            if data["value"] < _parse_number(want, "expect.lower"):
-                failures.append(f"value {data['value']!r} below {want!r}")
-        elif key == "upper":
-            if data["value"] > _parse_number(want, "expect.upper"):
-                failures.append(f"value {data['value']!r} above {want!r}")
-        elif key == "optimal_contains":
-            for tag in want:
-                if not perceptions_intersect(data["optimal_perceptions"], [tag]):
-                    failures.append(f"optimal perceptions missing {tag!r}")
-        elif key == "count_at_least":
-            if data["count"] < int(want):
-                failures.append(f"count {data['count']} below {want}")
-    return failures
-
-
-def _run_one_query(scenario: Scenario, q: dict, lotteries: dict, seed_override) -> dict:
-    kind = q["kind"]
-    seed = seed_override if seed_override is not None else q.get("seed", scenario.default_seed)
-
-    if kind == "evaluate":
-        model = scenario.models[q["model"]]
-        res = evaluate(model, lotteries["lottery"])
-        return {
-            "value": res.value,
-            "certainty_equivalent": res.certainty_equivalent,
-            "optimal_perceptions": _jsonify(res.optimal_perceptions),
-        }
-
-    if kind == "compare":
-        model = scenario.models[q["model"]]
-        tol = _parse_number(q.get("margin", 1e-9), "compare.margin")
-        v_better = evaluate(model, lotteries["better"]).value
-        v_worse = evaluate(model, lotteries["worse"]).value
-        return {
-            "value_better": v_better,
-            "value_worse": v_worse,
-            "holds": bool(v_better > v_worse + tol),
-        }
-
-    if kind == "axioms":
-        model = scenario.models[q["model"]]
-        axiom_ids = q.get("axioms") or list(necessary_axioms(model))
-        trials = int(q.get("trials", 1000))
-        reports = []
-        for axiom_id in axiom_ids:
-            sampler = LotterySampler(scenario.states, seed=seed)
-            reports.append(check_axiom(model, axiom_id, sampler, trials))
-        return {
-            "holds": all(r.holds for r in reports),
-            "reports": [
-                {
-                    "axiom_id": r.axiom_id,
-                    "holds": r.holds,
-                    "trials": r.trials,
-                    "counterexample": _jsonify(r.counterexample),
-                }
-                for r in reports
-            ],
-        }
-
-    if kind == "machina_property":
-        family = scenario.families[q["family"]]
-        sampler = LotterySampler(scenario.states, seed=seed)
-        rep = machina_5051_dual_self_property(list(family.sets), sampler)
-        return {
-            "holds": rep.holds,
-            "trials": rep.trials,
-            "counterexample": _jsonify(rep.counterexample),
-        }
-
-    if kind == "identify":
-        mode = q.get("mode", "cost")
-        if mode == "canonical":
-            report = check_canonical(scenario.families[q["family"]])
-            return {
-                "canonical": report.canonical,
-                "members_checked": report.members_checked,
-                "monotonicity_violations": _jsonify(report.monotonicity_violations),
-                "cost_convexity_violations": _jsonify(report.cost_convexity_violations),
-                "hull_gaps": _jsonify(report.hull_gaps),
-            }
-        if mode == "core":
-            model = scenario.models[q["model"]]
-            sampler = LotterySampler(scenario.states, seed=seed)
-            sets = estimate_multi_meu_core(model, sampler, int(q.get("samples", 200)))
-            return {
-                "count": len(sets),
-                "sets": [_jsonify(M.matrix) for M in sets],
-            }
-        model = scenario.models[q["model"]]
-        member_ref = q["member"]
-        family = scenario.families[member_ref["family"]]
-        if isinstance(family, FiniteFamily):
-            member = family.sets[member_ref["index"]]
-        else:
-            member = family.member_at([
-                _parse_number(x, "identify.member.theta") for x in member_ref["theta"]
-            ])
-        if "dictionary" in q:
-            dict_acts = tuple(
-                normalize_act(scenario.acts[name]) for name in q["dictionary"]
-            )
-            ladder = tuple(
-                _parse_number(x, "identify.ladder") for x in q.get("ladder", (1, 10, 100, 1000))
-            )
-            dictionary = Dictionary(dict_acts, ladder)
-        else:
-            dictionary = standard_bet_dictionary(scenario.states)
-        est = estimate_cost_star(model, member, dictionary, int(q.get("budget", 5000)))
-        return {
-            "value": est.value,
-            "is_lower_bound": est.is_lower_bound,
-            "witness_atoms": len(est.support_witness),
-        }
-
-    which = q["which"]
-    n = int(q.get("samples", 2000))
-    if which == "shares_optimal_perception":
-        model = scenario.models[q["model"]]
-        linear, intersects = shares_optimal_perception_detail(
-            model, lotteries["P"], lotteries["Q"]
-        )
-        return {"holds": linear, "argmax_intersects": intersects}
-    if which == "dominates_benefit":
-        fam1 = scenario.families[q["family1"]]
-        fam2 = scenario.families[q["family2"]]
-        sets1 = list(fam1.sets) if isinstance(fam1, FiniteFamily) else list(fam1.to_finite().sets)
-        sets2 = list(fam2.sets) if isinstance(fam2, FiniteFamily) else list(fam2.to_finite().sets)
-        sampler = LotterySampler(scenario.states, seed=seed)
-        return {"holds": dominates_benefit(sets1, sets2, sampler, n)}
-    fn = {
-        "more_tolerant_ea_randomization": more_tolerant_ea_randomization,
-        "more_tolerant_ambiguity": more_tolerant_ambiguity,
-        "higher_filtering_incentives": higher_filtering_incentives,
-    }[which]
-    sampler = LotterySampler(scenario.states, seed=seed)
-    verdict = fn(scenario.models[q["model1"]], scenario.models[q["model2"]], sampler, n)
-    return {
-        "holds": verdict.holds,
-        "samples_used": verdict.samples_used,
-        "counterexample": _jsonify(verdict.counterexample),
-    }
-
-
-def _execute_query(scenario, index, q, seed_override, default_tol) -> QueryResult:
-    kind = q["kind"]
-    name = str(q.get("name", ""))
+def _execute_query(q: BoundQuery, index, seed_override, default_tol) -> QueryResult:
     start = time.perf_counter()
     try:
-        data = _jsonify(
-            _run_one_query(scenario, q, scenario.lotteries[index], seed_override)
-        )
+        data = _jsonify(q.run(q.seed if seed_override is None else seed_override))
     except Exception as exc:  # runtime failure: report and keep going
         return QueryResult(
-            index, kind, name, "error", {}, q.get("expect"),
+            index, q.kind, q.name, "error", {}, q.expect,
             f"{type(exc).__name__}: {exc}", time.perf_counter() - start,
         )
-    status = "ok"
-    message = None
-    expect = q.get("expect")
-    if expect is not None:
-        failures = _check_expect(data, expect, default_tol)
-        if failures:
-            status = "expect-failed"
-            message = "; ".join(failures)
+    tol = default_tol if q.tolerance is None else q.tolerance
+    failures = [f for f in (check(data, tol) for check in q.checks) if f]
+    status = "expect-failed" if failures else "ok"
     return QueryResult(
-        index, kind, name, status, data, expect, message, time.perf_counter() - start
+        index, q.kind, q.name, status, data, q.expect, "; ".join(failures) or None,
+        time.perf_counter() - start,
     )
 
 
@@ -725,9 +736,9 @@ def run_queries(
     """Execute the scenario's queries (optionally a subset of kinds) in
     order; per-query errors are recorded and do not stop the run."""
     results = [
-        _execute_query(scenario, i, q, seed_override, default_tolerance)
+        _execute_query(q, i, seed_override, default_tolerance)
         for i, q in enumerate(scenario.queries)
-        if kinds is None or q["kind"] in kinds
+        if kinds is None or q.kind in kinds
     ]
     return Report(scenario.name, results)
 
@@ -744,10 +755,6 @@ def builtin_machina_suite() -> Report:
         scenario = load_scenario(path)
         sub = run_queries(scenario)
         for r in sub.results:
-            results.append(
-                QueryResult(
-                    len(results), r.kind, f"{scenario.name}: {r.name}".strip(": "),
-                    r.status, r.data, r.expect, r.message, r.duration_s,
-                )
-            )
+            name = f"{scenario.name}: {r.name}".strip(": ")
+            results.append(replace(r, index=len(results), name=name))
     return Report("builtin-machina-suite", results)

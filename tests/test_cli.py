@@ -50,6 +50,11 @@ UNKNOWN_EXPECT_KEY = FAILING_EXPECT.replace("expect: {value: 99}", "expect: {val
 
 BAD_PROBABILITIES = FAILING_EXPECT.replace("acts: {f: [1, 0]}", "acts: {f: [1, 0], g: [0, 1]}")
 
+BAD_SECOND_EXPECT = FAILING_EXPECT.replace(
+    "expect: {value: 99}}",
+    "expect: {value: 0.5}}\n  - {kind: evaluate, model: main, lottery: f, expect: {value: abc}}",
+)
+
 RUNTIME_ERROR = """
 name: erroring
 states: [a, b]
@@ -87,6 +92,12 @@ class TestExitCodes:
     def test_unknown_expect_key(self, tmp_path, capsys):
         assert main(["eval", _write(tmp_path, UNKNOWN_EXPECT_KEY)]) == 2
         assert "queries[0].expect.valeu" in capsys.readouterr().err
+
+    def test_bad_expect_value_fails_before_any_query_runs(self, tmp_path, capsys):
+        assert main(["eval", _write(tmp_path, BAD_SECOND_EXPECT)]) == 2
+        out, err = capsys.readouterr()
+        assert "queries[1].expect.value" in err
+        assert out == ""
 
     @pytest.mark.parametrize("pairs", ["[[0.7, f], [0.7, g]]", "[[1.5, f], [-0.5, g]]"])
     def test_lottery_probabilities(self, tmp_path, capsys, pairs):

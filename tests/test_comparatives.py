@@ -1,5 +1,7 @@
 """Comparative statics between models and families."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ambicap import (
     ComparativeVerdict,
     Lottery,
     Prior,
+    StateSpace,
     dominates_benefit,
     evaluate_value,
     higher_filtering_incentives,
@@ -16,12 +19,13 @@ from ambicap import (
     shares_optimal_perception,
     shares_optimal_perception_detail,
 )
-from ambicap.sampling import LotterySampler
+from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import (
     acts_5051,
     eu_model,
     family_5051,
     model_5051,
+    model_reflection,
     random_box_5051_family,
 )
 
@@ -89,6 +93,25 @@ class TestSharesOptimalPerception:
             shares_optimal_perception(urn, P, Q, diagnostics=diagnostics)
         assert agree >= 149
         assert len(diagnostics) == 150 - agree
+
+    def test_linearity_and_argmax_overlap_never_disagree(self, caplog):
+        # 40 random finite models and the two grid-5 urns under 4 seeds, 25
+        # pairs each; shares_optimal_perception logs any disagreement
+        models = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            models.append((random_cap_model(states, rng, variant="cap"), seed))
+        for urn in (model_5051(grid_resolution=5), model_reflection(grid_resolution=5)):
+            models += [(urn, seed) for seed in range(4)]
+        diagnostics = []
+        with caplog.at_level(logging.WARNING, logger="ambicap.comparatives"):
+            for model, seed in models:
+                sampler = LotterySampler(model.states, seed=seed)
+                for _ in range(25):
+                    shares_optimal_perception(model, *sampler.pair(), diagnostics=diagnostics)
+        assert diagnostics == []
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_reflexive(self, urn):
         sampler = LotterySampler(urn.states, seed=2)

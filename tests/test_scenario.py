@@ -41,6 +41,25 @@ queries:
 """
 
 
+# A valid first query, then the query under test; defines a constant act
+# and a one-parameter family for the checks that need them.
+SECOND_QUERY = """
+name: second
+states: [a, b]
+acts: {f: [10, 0], c: [3, 3]}
+families:
+  m: {kind: finite, members: [{vertices: [["1/2", "1/2"]], cost: 0}]}
+  p: {kind: parametric, params: [t], grid_resolution: 3,
+      vertices: [["1/2 - 1/2*t", "1/2 + 1/2*t"], ["1/2 + 1/2*t", "1/2 - 1/2*t"]]}
+models: {main: {family: m, variant: cap}, pm: {family: p, variant: cap}}
+queries:
+  - {kind: evaluate, model: main, lottery: f, expect: {value: 5}}
+  - %s
+"""
+
+COST = "kind: identify, model: main, member: {family: m, index: 0}"
+
+
 class TestParsers:
     def test_rational_numbers(self):
         assert _parse_number("50/101", "x") == pytest.approx(50.0 / 101.0, abs=0)
@@ -110,6 +129,25 @@ class TestLoading:
             ("kind: evaluate", "queries[0].kind"),
             ("variant: cap", "models.main.variant"),
             ("family: m,", "models.main.family"),
+            ("{kind: evaluate, model: main, lottery: f, expect: {value: abc}}",
+             "queries[1].expect.value"),
+            ("{kind: compare, model: main, better: f, worse: f, margin: abc}",
+             "queries[1].margin"),
+            ("{kind: identify, model: main, member: {family: m, index: 7}}",
+             "queries[1].member.index"),
+            ("{%s, dictionary: [nope]}" % COST, "queries[1].dictionary[0]"),
+            ("{%s, dictionary: [c]}" % COST, "queries[1].dictionary[0]"),
+            ("{kind: identify, model: pm, member: {family: p, theta: [2]}}",
+             "queries[1].member.theta"),
+            ("{kind: identify, model: pm, member: {family: p, theta: [0.5, 0.5]}}",
+             "queries[1].member.theta"),
+            ("{kind: axioms, model: main, trials: abc}", "queries[1].trials"),
+            ("{kind: axioms, model: main, seed: x}", "queries[1].seed"),
+            ("{%s, budget: many}" % COST, "queries[1].budget"),
+            ("{kind: evaluate, model: main, lottery: f, expect: {optimal_contains: 3}}",
+             "queries[1].expect.optimal_contains"),
+            ("{kind: identify, mode: core, model: main, samples: -4}", "queries[1].samples"),
+            ("{kind: axioms, model: main, trails: 50}", "queries[1].trails"),
         ],
     )
     def test_path_precise_errors(self, tmp_path, breakage, path_fragment):
@@ -123,8 +161,12 @@ class TestLoading:
             "variant: cap": ("variant: cap", "variant: optimist"),
             "family: m,": ("family: m,", "family: missing,"),
         }
-        old, new = replacements[breakage]
-        path = _write(tmp_path, MINIMAL.replace(old, new))
+        if breakage in replacements:
+            old, new = replacements[breakage]
+            text = MINIMAL.replace(old, new)
+        else:
+            text = SECOND_QUERY % breakage
+        path = _write(tmp_path, text)
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
         assert path_fragment in err.value.path
