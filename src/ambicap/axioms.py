@@ -81,7 +81,8 @@ def _deserialize_raw(states, data: dict) -> dict:
         if key in _ACT_KEYS:
             raw[key] = UtilityAct(states, val)
         elif key in _LOTTERY_KEYS:
-            raw[key] = Lottery([(p, UtilityAct(states, pay)) for p, pay in val])
+            probs, payoffs = zip(*val)
+            raw[key] = Lottery(states, probs, payoffs)
         elif key != "violation":
             raw[key] = float(val)
     return raw
@@ -178,16 +179,8 @@ def _viol_psr(model, raw):
 
 def _gen_fsd(model, sampler):
     P = sampler.lottery()
-    drops = [
-        sampler.rng.uniform(0.0, 50.0, len(model.states)) for _ in P.atoms
-    ]
-    Q = Lottery(
-        [
-            (p, UtilityAct(model.states, a.payoffs - d))
-            for (p, a), d in zip(P.atoms, drops)
-        ]
-    )
-    return {"P": P, "Q": Q}
+    drops = sampler.rng.uniform(0.0, 50.0, P.payoff_matrix.shape)
+    return {"P": P, "Q": Lottery(model.states, P.probs, P.payoff_matrix - drops)}
 
 
 def _gen_timing(model, sampler):

@@ -61,9 +61,7 @@ def main(argv=None) -> int:
         if args.verb == "suite":
             report = builtin_machina_suite()
         else:
-            scenario = load_scenario(
-                args.scenario, grid_resolution=args.grid, default_seed=None,
-            )
+            scenario = load_scenario(args.scenario, grid_resolution=args.grid)
             report = run_queries(
                 scenario,
                 _VERB_KINDS[args.verb],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BeliefSet, is_subset
+from .geometry import is_subset
 from .model import (
     CapModel,
     FiniteFamily,
@@ -165,11 +165,6 @@ def higher_filtering_incentives(
     return ComparativeVerdict(True, None, n)
 
 
-def _best_expected_meu(sets: list[BeliefSet], P: Lottery) -> float:
-    family = FiniteFamily([(M, 0.0) for M in sets])
-    return float(np.max(family.meu_matrix(P.payoff_matrix) @ P.probs))
-
-
 def dominates_benefit(
     Msets, Mprime_sets, sampler, n: int = 2000, diagnostics: list | None = None
 ) -> bool:
@@ -186,9 +181,14 @@ def dominates_benefit(
         any(is_subset(M, Mp) for M in Msets) for Mp in Mprime_sets
     )
     if structural:
+        # zero-cost dual_self: the value is the best expected MEU
+        best, best_prime = (
+            CapModel(sets[0].states, FiniteFamily([(M, 0.0) for M in sets]), "dual_self")
+            for sets in (Msets, Mprime_sets)
+        )
         for _ in range(n):
             P = sampler.lottery()
-            gap = _best_expected_meu(Msets, P) - _best_expected_meu(Mprime_sets, P)
+            gap = evaluate_value(best, P) - evaluate_value(best_prime, P)
             if gap < -SHARES_TOL:
                 note = {"P": serialize_lottery(P), "gap": gap}
                 log.error("benefit dominance sampled contradiction: %s", note)

@@ -29,7 +29,6 @@ from .geometry import (
     is_subset,
     mix_sets,
     prune_vertices,
-    support_value,
     symmetric_vertex_distance,
 )
 from .model import (
@@ -37,7 +36,6 @@ from .model import (
     FiniteFamily,
     Lottery,
     ParametricFamily,
-    constant_act,
     evaluate,
 )
 
@@ -120,9 +118,9 @@ class CanonicalReport:
     lambdas: tuple = (0.25, 0.5, 0.75)
 
 
-def _dictionary_atoms(dictionary: Dictionary, states: StateSpace):
-    """Zero act first (it pins the estimate's floor at exactly 0), then
-    every dictionary act scaled by ``_DICTIONARY_SCALE``.
+def _dictionary_payoffs(dictionary: Dictionary, states: StateSpace) -> np.ndarray:
+    """Payoff rows of the zero act first (it pins the estimate's floor at
+    exactly 0), then of every dictionary act scaled by ``_DICTIONARY_SCALE``.
 
     Smaller scales add nothing: MEU is positively homogeneous, so weight q
     on alpha * psi (alpha <= _DICTIONARY_SCALE) is matched by weight
@@ -130,9 +128,9 @@ def _dictionary_atoms(dictionary: Dictionary, states: StateSpace):
     the zero act, which scores 0 under every perception.  One scale keeps
     the LP's columns from being rescaled copies of one another.
     """
-    return [constant_act(states, 0.0)] + [
-        UtilityAct(states, _DICTIONARY_SCALE * psi.payoffs) for psi in dictionary.acts
-    ]
+    return np.vstack(
+        [np.zeros(len(states))] + [_DICTIONARY_SCALE * psi.payoffs for psi in dictionary.acts]
+    )
 
 
 def _menu_lp(h: np.ndarray, Hmat: np.ndarray, costs: np.ndarray, max_pivots: int):
@@ -198,8 +196,7 @@ def estimate_cost_star(
         raise ValueError("cost recovery is defined for the cap variant")
     if M.states != model.states:
         raise ValueError("belief set over a different state space")
-    atoms = _dictionary_atoms(dictionary, model.states)
-    payoffs = np.vstack([a.payoffs for a in atoms])
+    payoffs = _dictionary_payoffs(dictionary, model.states)
     h = (M.matrix @ payoffs.T).min(axis=0)
     family = model.family
     if isinstance(family, FiniteFamily):
@@ -210,7 +207,8 @@ def estimate_cost_star(
 
     while True:
         w = _menu_lp(h, Hmat, costs, budget)
-        witness = Lottery([(p, a) for p, a in zip(w / w.sum(), atoms) if p > 0.0])
+        probs = w / w.sum()
+        witness = Lottery(model.states, probs[probs > 0.0], payoffs[probs > 0.0])
         result = evaluate(model, witness)
         eps = 1e-9 * max(1.0, abs(result.value))
         if isinstance(family, FiniteFamily) or result.value <= np.max(Hmat @ w - costs) + eps:
@@ -218,15 +216,11 @@ def estimate_cost_star(
         rows, row_costs = _candidate_rows(family, result.optimal_perceptions, payoffs)
         Hmat, costs = np.vstack([Hmat, rows]), np.concatenate([costs, row_costs])
 
-    true_value = float(
-        sum(p * support_value(M, a) for p, a in witness.atoms) - result.value
-    )
+    promised = (M.matrix @ witness.payoff_matrix.T).min(axis=0) @ witness.probs
+    true_value = float(promised - result.value)
     if true_value < 0.0:
-        zero = Lottery.dirac(atoms[0])
-        zero_value = float(
-            support_value(M, atoms[0]) - evaluate(model, zero).value
-        )
-        return CostEstimate(max(0.0, zero_value), True, zero)
+        zero = Lottery.constant(model.states, 0.0)
+        return CostEstimate(max(0.0, -evaluate(model, zero).value), True, zero)
     return CostEstimate(true_value, True, witness)
 
 

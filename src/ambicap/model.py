@@ -72,66 +72,67 @@ def constant_act(states: StateSpace, t: float) -> UtilityAct:
 
 
 class Lottery:
-    """Finitely supported distribution over utility acts.
+    """Finitely supported distribution over utility acts: ``probs[i]`` is
+    the probability of the act whose payoffs are ``payoff_matrix[i]``.
 
-    Atoms with identical payoff vectors are merged at construction, so two
-    lotteries that denote the same distribution compare equal atom-wise.
+    Identical payoff rows are merged at construction, in order of first
+    appearance, with their probabilities summed in that order, so two
+    lotteries that denote the same distribution have equal arrays.
     """
 
-    __slots__ = ("states", "atoms", "probs", "payoff_matrix")
+    __slots__ = ("states", "probs", "payoff_matrix")
 
-    def __init__(self, atoms):
-        atoms = list(atoms)
-        if not atoms:
+    def __init__(self, states: StateSpace, probs, payoffs):
+        probs = np.array(probs, dtype=float).reshape(-1)
+        payoffs = np.array(payoffs, dtype=float)
+        if probs.size == 0:
             raise ValueError("lottery needs at least one atom")
-        states = atoms[0][1].states
-        merged: dict[bytes, list] = {}
-        for prob, act in atoms:
-            prob = float(prob)
-            if act.states != states:
-                raise DimensionMismatchError("lottery atoms mix state spaces")
-            if not prob > 0.0:
-                raise ValueError(f"atom probability {prob} must be positive")
-            key = act.payoffs.tobytes()
-            if key in merged:
-                merged[key][0] += prob
-            else:
-                merged[key] = [prob, act]
-        probs = np.array([p for p, _ in merged.values()])
+        if payoffs.shape != (probs.size, len(states)):
+            raise DimensionMismatchError(
+                f"lottery payoffs have shape {payoffs.shape}, "
+                f"expected {(probs.size, len(states))}"
+            )
+        if not np.isfinite(payoffs).all():
+            raise ValueError("act payoffs must be finite")
+        if not probs.min() > 0.0:
+            raise ValueError(f"atom probability {probs.min()} must be positive")
+        raw, width = payoffs.tobytes(), payoffs.itemsize * len(states)
+        keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+        unique = dict.fromkeys(keys)  # rows byte for byte, in order of first appearance
+        if len(unique) < len(keys):
+            slot = {key: j for j, key in enumerate(unique)}
+            probs = np.bincount([slot[key] for key in keys], weights=probs)
+            payoffs = payoffs[[keys.index(key) for key in unique]]
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {probs.sum()}, not 1")
-        acts = [a for _, a in merged.values()]
         object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "atoms", tuple(zip(probs.tolist(), acts))
-        )
         object.__setattr__(self, "probs", _readonly(probs))
-        object.__setattr__(
-            self, "payoff_matrix", _readonly(np.vstack([a.payoffs for a in acts]))
-        )
+        object.__setattr__(self, "payoff_matrix", _readonly(payoffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Lottery is immutable")
 
     @classmethod
     def dirac(cls, act: UtilityAct) -> "Lottery":
-        return cls([(1.0, act)])
+        return cls(act.states, [1.0], [act.payoffs])
 
     @classmethod
     def constant(cls, states: StateSpace, t: float) -> "Lottery":
-        return cls.dirac(constant_act(states, t))
+        return cls(states, [1.0], np.full((1, len(states)), float(t)))
 
     def __len__(self):
-        return len(self.atoms)
+        return self.probs.size
 
     def __repr__(self):
-        body = ", ".join(f"{p:g}: {a.payoffs.tolist()}" for p, a in self.atoms)
+        body = ", ".join(
+            f"{p:g}: {row}" for p, row in zip(self.probs.tolist(), self.payoff_matrix.tolist())
+        )
         return f"Lottery({{{body}}})"
 
 
 def serialize_lottery(P: Lottery) -> list:
     """JSON-ready ``[[probability, payoffs], ...]`` form of a lottery."""
-    return [[p, a.payoffs.tolist()] for p, a in P.atoms]
+    return [list(atom) for atom in zip(P.probs.tolist(), P.payoff_matrix.tolist())]
 
 
 def mix_lotteries(lam: float, P: Lottery, Q: Lottery) -> Lottery:
@@ -139,8 +140,10 @@ def mix_lotteries(lam: float, P: Lottery, Q: Lottery) -> Lottery:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixture weight {lam} outside [0, 1]")
     _check_same_states(P, Q)
-    atoms = [(lam * p, a) for p, a in P.atoms] + [((1.0 - lam) * p, a) for p, a in Q.atoms]
-    return Lottery([(p, a) for p, a in atoms if p > 0.0])  # a tiny lam can underflow
+    probs = np.concatenate((lam * P.probs, (1.0 - lam) * Q.probs))
+    payoffs = np.concatenate((P.payoff_matrix, Q.payoff_matrix))
+    keep = probs > 0.0  # a tiny lam can underflow
+    return Lottery(P.states, probs[keep], payoffs[keep])
 
 
 def mix_acts(lam: float, f: UtilityAct, g: UtilityAct) -> UtilityAct:

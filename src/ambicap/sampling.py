@@ -60,7 +60,8 @@ class LotterySampler:
             return self._probes.popleft()
         support = int(self.rng.integers(1, self.max_support + 1))
         probs = self.rng.dirichlet(np.ones(support))
-        return Lottery([(p, self.act()) for p in probs])
+        payoffs = self.rng.uniform(self.low, self.high, (support, len(self.states)))
+        return Lottery(self.states, probs, payoffs)
 
     def pair(self) -> tuple[Lottery, Lottery]:
         if self._pair_probes:

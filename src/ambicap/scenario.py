@@ -155,7 +155,7 @@ class Scenario:
     families: dict
     models: dict[str, CapModel]
     queries: list[BoundQuery]
-    default_seed: int = 0
+    seed: int = 0
     source: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
@@ -197,80 +197,79 @@ def _build_acts(states, raw, utility_table):
     return acts
 
 
-def _build_finite_family(states, spec, path):
-    members_spec = spec.get("members")
+def _build_finite_family(states, f: _Keys):
+    members_spec = f.take("members")
     if not isinstance(members_spec, list) or not members_spec:
-        raise ScenarioError(f"{path}.members", "expected a nonempty list")
+        raise ScenarioError(f.at("members"), "expected a nonempty list")
     members = []
-    for i, member in enumerate(members_spec):
-        mpath = f"{path}.members[{i}]"
-        member = _require_map(member, mpath)
-        rows = member.get("vertices")
+    for i, spec in enumerate(members_spec):
+        m = _Keys(spec, f"{f.at('members')}[{i}]")
+        rows = m.take("vertices")
         if not isinstance(rows, list) or not rows:
-            raise ScenarioError(f"{mpath}.vertices", "expected a nonempty list")
+            raise ScenarioError(m.at("vertices"), "expected a nonempty list")
         matrix = [
-            [_parse_number(x, f"{mpath}.vertices[{r}][{c}]") for c, x in enumerate(row)]
+            [_parse_number(x, f"{m.at('vertices')}[{r}][{c}]") for c, x in enumerate(row)]
             for r, row in enumerate(rows)
         ]
-        cost = _parse_number(member.get("cost", 0.0), f"{mpath}.cost")
-        members.append((_construct(mpath, BeliefSet, states, matrix), cost))
-    return _construct(path, FiniteFamily, members)
+        cost = _parse_number(m.take("cost", 0.0), m.at("cost"))
+        m.close()
+        members.append((_construct(m.path, BeliefSet, states, matrix), cost))
+    return _construct(f.path, FiniteFamily, members)
 
 
-def _build_parametric_family(states, spec, path, grid_override):
-    params = spec.get("params")
+def _build_parametric_family(states, f: _Keys, grid_override):
+    params = f.take("params")
     if not isinstance(params, list) or not params:
-        raise ScenarioError(f"{path}.params", "expected a nonempty list of names")
+        raise ScenarioError(f.at("params"), "expected a nonempty list of names")
     params = tuple(str(p) for p in params)
-    grid = int(spec.get("grid_resolution", 11)) if grid_override is None else grid_override
-    cost_base, cost_coefs = _parse_affine(spec.get("cost", 0.0), params, f"{path}.cost")
-    rows = spec.get("vertices")
+    grid = f.integer("grid_resolution", 11)
+    if grid_override is not None:
+        grid = grid_override
+    cost_base, cost_coefs = _parse_affine(f.take("cost", 0.0), params, f.at("cost"))
+    rows = f.take("vertices")
     if not isinstance(rows, list) or not rows:
-        raise ScenarioError(f"{path}.vertices", "expected a nonempty list")
+        raise ScenarioError(f.at("vertices"), "expected a nonempty list")
     V, n, k = len(rows), len(states), len(params)
     base = np.zeros((V, n))
     coefs = np.zeros((k, V, n))
     for r, row in enumerate(rows):
+        rpath = f"{f.at('vertices')}[{r}]"
         if not isinstance(row, list) or len(row) != n:
-            raise ScenarioError(
-                f"{path}.vertices[{r}]", f"expected {n} per-state expressions"
-            )
+            raise ScenarioError(rpath, f"expected {n} per-state expressions")
         for c, entry in enumerate(row):
-            const, cvec = _parse_affine(entry, params, f"{path}.vertices[{r}][{c}]")
+            const, cvec = _parse_affine(entry, params, f"{rpath}[{c}]")
             base[r, c] = const
             coefs[:, r, c] = cvec
     return _construct(
-        path, ParametricFamily, states, base, coefs, cost_base, cost_coefs, grid,
+        f.path, ParametricFamily, states, base, coefs, cost_base, cost_coefs, grid,
         param_names=params,
     )
 
 
 def _build_families(states, raw, grid_override):
+    builders = {
+        "finite": _build_finite_family,
+        "parametric": partial(_build_parametric_family, grid_override=grid_override),
+    }
     families = {}
     for name, spec in _require_map(raw, "families").items():
-        path = f"families.{name}"
-        spec = _require_map(spec, path)
-        kind = spec.get("kind")
-        if kind == "finite":
-            families[name] = _build_finite_family(states, spec, path)
-        elif kind == "parametric":
-            families[name] = _build_parametric_family(states, spec, path, grid_override)
-        else:
-            raise ScenarioError(f"{path}.kind", "expected 'finite' or 'parametric'")
+        f = _Keys(spec, f"families.{name}")
+        families[name] = f.named("kind", builders, "family kind")(states, f)
+        f.close()
     return families
 
 
 def _build_models(states, raw, families):
     models = {}
     for name, spec in _require_map(raw, "models").items():
-        path = f"models.{name}"
-        spec = _require_map(spec, path)
-        family = _lookup(families, spec.get("family"), f"{path}.family", "family")
-        variant = spec.get("variant", "cap")
+        m = _Keys(spec, f"models.{name}")
+        family = m.named("family", families, "family")
+        variant = m.take("variant", "cap")
         if variant not in VARIANTS:
             message = f"unknown variant {variant!r}; expected {VARIANTS}"
-            raise ScenarioError(f"{path}.variant", message)
-        models[name] = _construct(path, CapModel, states, family, variant)
+            raise ScenarioError(m.at("variant"), message)
+        m.close()
+        models[name] = _construct(m.path, CapModel, states, family, variant)
     return models
 
 
@@ -311,11 +310,11 @@ class _Keys:
     ``close`` rejects the keys nobody took, with their path."""
 
     def __init__(self, raw, path: str):
-        self.left = dict(_require_map(raw, path))
+        self.left = dict(_require_map(raw, path or "scenario"))
         self.path = path
 
     def at(self, key: str) -> str:
-        return f"{self.path}.{key}"
+        return f"{self.path}.{key}" if self.path else key
 
     def take(self, key: str, default=None):
         return self.left.pop(key, default)
@@ -323,20 +322,20 @@ class _Keys:
     def named(self, key: str, table: dict, what: str):
         return _lookup(table, self.take(key), self.at(key), what)
 
-    def lottery(self, key: str, acts: dict) -> Lottery:
+    def lottery(self, key: str, s: Scenario) -> Lottery:
         """An act name, or [probability, act] pairs with a valid distribution."""
         ref, path = self.take(key), self.at(key)
         if isinstance(ref, str):
-            return Lottery.dirac(_lookup(acts, ref, path, "act"))
+            return Lottery.dirac(_lookup(s.acts, ref, path, "act"))
         if not (isinstance(ref, list) and ref):
             raise ScenarioError(path, "expected an act name or [probability, act] pairs")
-        atoms = []
+        probs, payoffs = [], []
         for i, pair in enumerate(ref):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ScenarioError(f"{path}[{i}]", "expected [probability, act name]")
-            prob = _parse_number(pair[0], f"{path}[{i}][0]")
-            atoms.append((prob, _lookup(acts, pair[1], f"{path}[{i}][1]", "act")))
-        return _construct(path, Lottery, atoms)
+            probs.append(_parse_number(pair[0], f"{path}[{i}][0]"))
+            payoffs.append(_lookup(s.acts, pair[1], f"{path}[{i}][1]", "act").payoffs)
+        return _construct(path, Lottery, s.states, probs, payoffs)
 
     def integer(self, key: str, default, low: int = 1) -> int:
         return _parse_int(self.take(key, default), self.at(key), low)
@@ -413,7 +412,7 @@ def _fields(obj, *names) -> dict:
 
 
 def _bind_evaluate(s: Scenario, q: _Keys):
-    model, lottery = q.named("model", s.models, "model"), q.lottery("lottery", s.acts)
+    model, lottery = q.named("model", s.models, "model"), q.lottery("lottery", s)
 
     def run(seed):
         res = evaluate(model, lottery)
@@ -423,7 +422,7 @@ def _bind_evaluate(s: Scenario, q: _Keys):
 
 def _bind_compare(s: Scenario, q: _Keys):
     model = q.named("model", s.models, "model")
-    better, worse = q.lottery("better", s.acts), q.lottery("worse", s.acts)
+    better, worse = q.lottery("better", s), q.lottery("worse", s)
     margin = _parse_number(q.take("margin", 1e-9), q.at("margin"))
 
     def run(seed):
@@ -517,7 +516,7 @@ def _bind_identify(s: Scenario, q: _Keys):
 
 def _bind_shares(s: Scenario, q: _Keys):
     model = q.named("model", s.models, "model")
-    P, Q = q.lottery("P", s.acts), q.lottery("Q", s.acts)
+    P, Q = q.lottery("P", s), q.lottery("Q", s)
 
     def run(seed):
         linear, intersects = shares_optimal_perception_detail(model, P, Q)
@@ -574,7 +573,7 @@ def _bind_query(s: Scenario, raw, path: str) -> BoundQuery:
     kind = q.take("kind")
     builder = _lookup(_BUILDERS, kind, q.at("kind"), "kind")
     name = str(q.take("name", ""))
-    seed = q.integer("seed", s.default_seed, low=0)
+    seed = q.integer("seed", s.seed, low=0)
     expect = q.take("expect")
     run, parsers = builder(s, q)
     checks, tol = ((), None) if expect is None else _parse_expect(expect, q.at("expect"), parsers)
@@ -582,7 +581,7 @@ def _bind_query(s: Scenario, raw, path: str) -> BoundQuery:
     return BoundQuery(kind, name, seed, expect, checks, tol, run)
 
 
-def load_scenario(path, *, grid_resolution=None, default_seed=None) -> Scenario:
+def load_scenario(path, *, grid_resolution=None) -> Scenario:
     """Load and fully validate a scenario file."""
     path = Path(path)
     if not path.exists():
@@ -591,38 +590,32 @@ def load_scenario(path, *, grid_resolution=None, default_seed=None) -> Scenario:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ScenarioError(str(path), f"parse error: {exc}") from exc
-    return scenario_from_dict(
-        raw, grid_resolution=grid_resolution, default_seed=default_seed,
-        name_hint=path.stem,
-    )
+    return scenario_from_dict(raw, grid_resolution=grid_resolution, name_hint=path.stem)
 
 
-def scenario_from_dict(
-    raw, *, grid_resolution=None, default_seed=None, name_hint="scenario"
-) -> Scenario:
-    raw = _require_map(raw, "scenario")
-    labels = raw.get("states")
+def scenario_from_dict(raw, *, grid_resolution=None, name_hint="scenario") -> Scenario:
+    top = _Keys(raw, "")
+    labels = top.take("states")
     if not isinstance(labels, list) or len(labels) < 2:
         raise ScenarioError("states", "expected a list of at least two labels")
     states = _construct("states", StateSpace, labels)
 
-    table_raw = raw.get("utility_table", {})
     utility_table = {
         str(k): _parse_number(v, f"utility_table.{k}")
-        for k, v in _require_map(table_raw, "utility_table").items()
+        for k, v in _require_map(top.take("utility_table", {}), "utility_table").items()
     }
-    acts = _build_acts(states, raw.get("acts", {}), utility_table)
-    families = _build_families(states, raw.get("families", {}), grid_resolution)
-    models = _build_models(states, raw.get("models", {}), families)
+    acts = _build_acts(states, top.take("acts", {}), utility_table)
+    families = _build_families(states, top.take("families", {}), grid_resolution)
+    models = _build_models(states, top.take("models", {}), families)
 
-    queries = raw.get("queries", [])
+    queries = top.take("queries", [])
     if not isinstance(queries, list):
         raise ScenarioError("queries", "expected a list")
-    seed = raw.get("seed", 0) if default_seed is None else default_seed
     scenario = Scenario(
-        str(raw.get("name", name_hint)), states, utility_table, acts, families, models,
-        queries=[], default_seed=_parse_int(seed, "seed", 0), source=raw,
+        str(top.take("name", name_hint)), states, utility_table, acts, families, models,
+        queries=[], seed=top.integer("seed", 0, low=0), source=raw,
     )
+    top.close()
     scenario.queries = [
         _bind_query(scenario, q, f"queries[{i}]") for i, q in enumerate(queries)
     ]

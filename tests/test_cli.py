@@ -55,6 +55,12 @@ BAD_SECOND_EXPECT = FAILING_EXPECT.replace(
     "expect: {value: 0.5}}\n  - {kind: evaluate, model: main, lottery: f, expect: {value: abc}}",
 )
 
+BAD_GRID = FAILING_EXPECT.replace(
+    "families:\n",
+    'families:\n  p: {kind: parametric, params: [t], grid_resolution: abc,'
+    ' vertices: [["1/2 - 1/2*t", "1/2 + 1/2*t"]]}\n',
+)
+
 RUNTIME_ERROR = """
 name: erroring
 states: [a, b]
@@ -97,6 +103,12 @@ class TestExitCodes:
         assert main(["eval", _write(tmp_path, BAD_SECOND_EXPECT)]) == 2
         out, err = capsys.readouterr()
         assert "queries[1].expect.value" in err
+        assert out == ""
+
+    def test_bad_grid_resolution(self, tmp_path, capsys):
+        assert main(["eval", _write(tmp_path, BAD_GRID)]) == 2
+        out, err = capsys.readouterr()
+        assert "families.p.grid_resolution" in err
         assert out == ""
 
     @pytest.mark.parametrize("pairs", ["[[0.7, f], [0.7, g]]", "[[1.5, f], [-0.5, g]]"])

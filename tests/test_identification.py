@@ -25,7 +25,7 @@ from ambicap import (
     support_value,
     symmetric_vertex_distance,
 )
-from ambicap.identification import _dictionary_atoms, _menu_lp
+from ambicap.identification import _dictionary_payoffs, _menu_lp
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import acts_dual_self, dual_self_model, model_5051
 
@@ -84,14 +84,14 @@ def _pair_menu_oracle(model, member, dictionary, scale=1000.0, step=0.25):
                     continue
                 atoms_list = []
                 if wa > 0:
-                    atoms_list.append((wa, a))
+                    atoms_list.append((wa, a.payoffs))
                 if wb > 0:
-                    atoms_list.append((wb, b))
+                    atoms_list.append((wb, b.payoffs))
                 if rest > 1e-12:
-                    atoms_list.append((rest, zero.atoms[0][1]))
+                    atoms_list.append((rest, zero.payoff_matrix[0]))
                 if not atoms_list:
                     continue
-                menu = Lottery(atoms_list)
+                menu = Lottery(model.states, *zip(*atoms_list))
                 promised = wa * h_a + wb * h_b
                 best = max(best, promised - evaluate_value(model, menu))
     return best
@@ -138,7 +138,8 @@ class TestCostEstimation:
             est = estimate_cost_star(urn_small, member, d, budget=3000)
             menu = est.support_witness
             promised = sum(
-                p * support_value(member, a) for p, a in menu.atoms
+                p * support_value(member, UtilityAct(menu.states, row))
+                for p, row in zip(menu.probs, menu.payoff_matrix)
             )
             replayed = promised - evaluate_value(urn_small, menu)
             assert abs(max(replayed, 0.0) - est.value) <= 1e-7
@@ -179,8 +180,7 @@ def _menu_lp_oracle(h, Hmat, costs):
     return -res.fun
 
 
-def _tables(model, member, atoms, thetas=None):
-    payoffs = np.vstack([a.payoffs for a in atoms])
+def _tables(model, member, payoffs, thetas=None):
     h = (member.matrix @ payoffs.T).min(axis=0)
     family = model.family
     if thetas is None:
@@ -197,8 +197,8 @@ class TestCostLP:
         family = random_parametric_family(states, rng)
         model = CapModel(states, family, "cap")
         member = family.member_at(rng.uniform(0.0, 1.0, family.n_params))
-        atoms = _dictionary_atoms(standard_bet_dictionary(states), states)
-        h, Hmat, costs = _tables(model, member, atoms, family.thetas)
+        payoffs = _dictionary_payoffs(standard_bet_dictionary(states), states)
+        h, Hmat, costs = _tables(model, member, payoffs, family.thetas)
         w = _menu_lp(h, Hmat, costs, 5000)
         assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
         got = h @ w - np.max(Hmat @ w - costs)
@@ -215,10 +215,10 @@ class TestCostLP:
         model = random_cap_model(states, rng, variant="cap")
         member = model.family.sets[int(rng.integers(len(model.family)))]
         d = standard_bet_dictionary(states)
-        atoms = [UtilityAct(states, np.zeros(len(states)))] + [
-            UtilityAct(states, alpha * a.payoffs) for a in d.acts for alpha in ladder
-        ]
-        want = _menu_lp_oracle(*_tables(model, member, atoms))
+        payoffs = np.vstack(
+            [np.zeros(len(states))] + [alpha * a.payoffs for a in d.acts for alpha in ladder]
+        )
+        want = _menu_lp_oracle(*_tables(model, member, payoffs))
         est = estimate_cost_star(model, member, d)
         assert est.value == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
@@ -240,10 +240,10 @@ class TestCostLP:
         theta = rng.uniform(0.0, 1.0, family.n_params)
         member = family.member_at(theta)
         d = standard_bet_dictionary(states)
-        atoms = _dictionary_atoms(d, states)
-        h, Hmat, costs = _tables(model, member, atoms, family.thetas)
+        payoffs = _dictionary_payoffs(d, states)
+        h, Hmat, costs = _tables(model, member, payoffs, family.thetas)
         w = _menu_lp(h, Hmat, costs, 5000)
-        grid_witness = Lottery([(p, a) for p, a in zip(w, atoms) if p > 0.0])
+        grid_witness = Lottery(states, w[w > 0.0], payoffs[w > 0.0])
         certified = h @ w - evaluate_value(model, grid_witness)
         est = estimate_cost_star(model, member, d).value
         assert certified + 10.0 < est <= family.cost_at(theta) + 1e-9

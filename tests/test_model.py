@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from ambicap import (
     BeliefSet,
     CapModel,
+    DimensionMismatchError,
     FiniteFamily,
     Lottery,
     ParametricFamily,
@@ -149,9 +150,7 @@ class TestStructuralLaws:
         sampler = LotterySampler(states, seed=seed % 1000)
         P = sampler.lottery()
         shift = 13.25
-        shifted = Lottery(
-            [(p, UtilityAct(states, a.payoffs + shift)) for p, a in P.atoms]
-        )
+        shifted = Lottery(states, P.probs, P.payoff_matrix + shift)
         assert evaluate_value(model, shifted) == pytest.approx(
             evaluate_value(model, P) + shift, abs=1e-8
         )
@@ -195,7 +194,10 @@ class TestStructuralLaws:
             for theta in ((0.0, 0.0), (1.0, 1.0), (0.5, 0.25)):
                 member = family.member_at(theta)
                 route = (
-                    sum(p * support_value(member, a) for p, a in P.atoms)
+                    sum(
+                        p * support_value(member, UtilityAct(P.states, row))
+                        for p, row in zip(P.probs, P.payoff_matrix)
+                    )
                     - family.cost_at(theta)
                 )
                 assert value >= route - 1e-8
@@ -245,12 +247,12 @@ def _lp_value_oracle(family, P):
     k, n_atoms = family.n_params, len(P)
     rows, rhs = [], []
     for v in range(family.vertex_base.shape[0]):
-        for m, (_, act) in enumerate(P.atoms):
+        for m, payoffs in enumerate(P.payoff_matrix):
             row = np.zeros(k + n_atoms)
-            row[:k] = -family.vertex_coefs[:, v, :] @ act.payoffs
+            row[:k] = -family.vertex_coefs[:, v, :] @ payoffs
             row[k + m] = 1.0
             rows.append(row)
-            rhs.append(family.vertex_base[v] @ act.payoffs)
+            rhs.append(family.vertex_base[v] @ payoffs)
     res = scipy.optimize.linprog(
         np.concatenate([family.cost_coefs, -P.probs]),
         A_ub=np.array(rows),
@@ -320,10 +322,48 @@ class TestChoquetVariant:
         )
 
 
+def _reference_merge(probs, rows):
+    """Atom-by-atom merge: identical rows (byte for byte) keep their first
+    position, and their probabilities are summed in order."""
+    merged = {}
+    for p, row in zip(probs, rows):
+        key = np.asarray(row, dtype=float).tobytes()
+        if key in merged:
+            merged[key][0] += p
+        else:
+            merged[key] = [p, row]
+    return [p for p, _ in merged.values()], [row for _, row in merged.values()]
+
+
+def _assert_bitwise(P, reference):
+    probs, rows = reference
+    assert P.probs.tobytes() == np.array(probs, dtype=float).tobytes()
+    assert P.payoff_matrix.tobytes() == np.array(rows, dtype=float).tobytes()
+
+
+@st.composite
+def _lottery_rows(draw, n_states):
+    """(probs, rows) with rows drawn from a few distinct ones, so that
+    duplicates are common; 0.0 and -0.0 count as different rows."""
+    payoff = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(-1e3, 1e3)
+    distinct = draw(st.lists(st.lists(payoff, min_size=n_states, max_size=n_states),
+                             min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(picks),
+                                     max_size=len(picks))))
+    return (weights / weights.sum()).tolist(), picks
+
+
+# 5e-324 * p underflows to 0.0 for p < 1/2, which mix_lotteries must drop
+_mixture_weights = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+
+
 class TestConstructionRules:
     def test_lottery_merges_duplicate_acts(self, states4):
         f = constant_act(states4, 3.0)
-        P = Lottery([(0.25, f), (0.25, f), (0.5, constant_act(states4, 9.0))])
+        P = Lottery(
+            states4, [0.25, 0.25, 0.5], [f.payoffs, f.payoffs, constant_act(states4, 9.0).payoffs]
+        )
         assert len(P) == 2
         assert P.probs.sum() == pytest.approx(1.0)
 
@@ -331,9 +371,31 @@ class TestConstructionRules:
         f = constant_act(states4, 1.0)
         g = constant_act(states4, 2.0)
         with pytest.raises(ValueError):
-            Lottery([(0.7, f), (0.2, g)])
+            Lottery(states4, [0.7, 0.2], [f.payoffs, g.payoffs])
         with pytest.raises(ValueError):
-            Lottery([(1.2, f), (-0.2, g)])
+            Lottery(states4, [1.2, -0.2], [f.payoffs, g.payoffs])
+
+    def test_lottery_rejects_bad_payoff_matrices(self, states4):
+        # the errors a per-atom UtilityAct raised
+        with pytest.raises(DimensionMismatchError):
+            Lottery(states4, [0.5, 0.5], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(DimensionMismatchError):
+            Lottery(states4, [0.5, 0.5], [[1.0] * 4])
+        with pytest.raises(ValueError, match="finite"):
+            Lottery(states4, [0.5, 0.5], [[1.0] * 4, [1.0, np.nan, 1.0, 1.0]])
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(_lottery_rows(n), _lottery_rows(n))),
+           _mixture_weights)
+    def test_merge_matches_a_dict_reference(self, rows, lam):
+        states = StateSpace([f"s{i}" for i in range(len(rows[0][1][0]))])
+        P, Q = (Lottery(states, *r) for r in rows)
+        P_ref, Q_ref = (_reference_merge(*r) for r in rows)
+        _assert_bitwise(P, P_ref)
+        _assert_bitwise(Q, Q_ref)
+        mixed = [(lam * p, row) for p, row in zip(*P_ref)]
+        mixed += [((1.0 - lam) * p, row) for p, row in zip(*Q_ref)]
+        kept = [(p, row) for p, row in mixed if p > 0.0]
+        _assert_bitwise(mix_lotteries(lam, P, Q), _reference_merge(*zip(*kept)))
 
     def test_mix_acts(self, states4):
         f = UtilityAct(states4, (0.0, 4.0, 0.0, 0.0))
@@ -345,10 +407,10 @@ class TestConstructionRules:
         # 5e-324 * 0.25 rounds to 0.0, which no lottery atom may carry;
         # 5e-324 * 0.75 rounds to 5e-324 and stays
         f = UtilityAct(states4, (0.0, 4.0, 0.0, 0.0))
-        P = Lottery([(0.25, f), (0.75, constant_act(states4, 1.0))])
+        P = Lottery(states4, [0.25, 0.75], [f.payoffs, [1.0] * 4])
         Q = Lottery.constant(states4, 2.0)
         mixed = mix_lotteries(5e-324, P, Q)
-        assert [a.payoffs.tolist() for _, a in mixed.atoms] == [[1.0] * 4, [2.0] * 4]
+        assert mixed.payoff_matrix.tolist() == [[1.0] * 4, [2.0] * 4]
 
     def test_family_requires_grounded_costs(self, states4):
         M = BeliefSet(states4, np.eye(4))

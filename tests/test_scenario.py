@@ -148,6 +148,11 @@ class TestLoading:
              "queries[1].expect.optimal_contains"),
             ("{kind: identify, mode: core, model: main, samples: -4}", "queries[1].samples"),
             ("{kind: axioms, model: main, trails: 50}", "queries[1].trails"),
+            ("grid_resolution: abc", "families.p.grid_resolution"),
+            ("grid_resolutoin: 3", "families.p.grid_resolutoin"),
+            ("varient: cautious", "models.main.varient"),
+            ("cots: 0", "families.m.members[0].cots"),
+            ("querys: []", "querys"),
         ],
     )
     def test_path_precise_errors(self, tmp_path, breakage, path_fragment):
@@ -160,10 +165,16 @@ class TestLoading:
             "kind: evaluate": ("kind: evaluate", "kind: frobnicate"),
             "variant: cap": ("variant: cap", "variant: optimist"),
             "family: m,": ("family: m,", "family: missing,"),
+            "grid_resolution: abc": ("grid_resolution: 3", "grid_resolution: abc"),
+            "grid_resolutoin: 3": ("grid_resolution: 3", "grid_resolutoin: 3"),
+            "varient: cautious": ("variant: cap", "varient: cautious"),
+            "cots: 0": ("cost: 0", "cots: 0"),
+            "querys: []": ("queries:", "querys: []\nqueries:"),
         }
         if breakage in replacements:
             old, new = replacements[breakage]
-            text = MINIMAL.replace(old, new)
+            valid = SECOND_QUERY % "{kind: evaluate, model: pm, lottery: f}"
+            text = (MINIMAL if old in MINIMAL else valid).replace(old, new)
         else:
             text = SECOND_QUERY % breakage
         path = _write(tmp_path, text)
