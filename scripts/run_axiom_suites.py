@@ -13,11 +13,9 @@ import time
 
 import numpy as np
 
-from ambicap import StateSpace, check_axiom, necessary_axioms, recheck_witness
+from ambicap import VARIANTS, StateSpace, check_axiom, necessary_axioms, recheck_witness
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import stock_separations
-
-VARIANT_CHOICES = ("cap", "cautious", "dual_self", "double_maxmin", "choquet")
 
 
 def _random_states(rng) -> StateSpace:
@@ -63,8 +61,7 @@ def main() -> int:
     parser.add_argument("--models", type=int, default=5, help="models per variant")
     parser.add_argument("--trials", type=int, default=300, help="trials per axiom")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--variants", nargs="*", default=list(VARIANT_CHOICES),
-                        choices=VARIANT_CHOICES)
+    parser.add_argument("--variants", nargs="*", default=list(VARIANTS), choices=VARIANTS)
     args = parser.parse_args()
 
     failures = run_necessity(args.variants, args.models, args.trials, args.seed)

@@ -321,17 +321,27 @@ def necessary_axioms(model: CapModel) -> tuple[str, ...]:
     return tuple(a for a in AXIOM_IDS if a in ids)
 
 
-def machina_5051_dual_self_property(Msets, sampler) -> AxiomReport:
-    """Two-self analysis of the 50-51 acts: with every perception inside
-    the 50-51 box, the value is affine along statewise g-h mixtures, so
-    preferring f1 over f2 forces preferring f3 over f4."""
+def require_5051_box(Msets) -> None:
+    """Raise ``ValueError`` unless every belief set is over ``STATES_4`` and
+    lies in the 50-51 box (red+blue mass 50/101 at every vertex)."""
     for M in Msets:
+        if M.states != STATES_4:
+            raise ValueError(
+                f"every belief set must be over the states {list(STATES_4.labels)}"
+            )
         marginals = M.matrix[:, 0] + M.matrix[:, 1]
         if np.abs(marginals - P_5051).max() > 1e-9:
             raise ValueError(
                 "every belief set must lie in the 50-51 box "
                 "(red+blue mass 50/101 at every vertex)"
             )
+
+
+def machina_5051_dual_self_property(Msets, sampler) -> AxiomReport:
+    """Two-self analysis of the 50-51 acts: with every perception inside
+    the 50-51 box, the value is affine along statewise g-h mixtures, so
+    preferring f1 over f2 forces preferring f3 over f4."""
+    require_5051_box(Msets)
     model = CapModel(
         STATES_4, FiniteFamily([(M, 0.0) for M in Msets]), "dual_self"
     )

@@ -174,10 +174,6 @@ class BeliefSet:
     def __setattr__(self, name, value):
         raise AttributeError("BeliefSet is immutable")
 
-    @property
-    def vertices(self) -> tuple[Prior, ...]:
-        return tuple(Prior(self.states, row) for row in self.matrix)
-
     def __len__(self):
         return self.matrix.shape[0]
 

@@ -8,8 +8,8 @@ functional forms:
     cautious       min over family of (expected MEU + cost)
     dual_self      max over family of expected MEU (costs must be zero)
     double_maxmin  min over family of expected MEU (costs must be zero)
-    choquet        like cap, but members are capacity cores and the MEU
-                   kernel is computed by the Choquet sort formula
+    choquet        like cap, but every member must be the core of a convex
+                   capacity, so its MEU is that capacity's Choquet integral
 
 Every value is exact.  A finite family is enumerated.  On a parametric
 family each variant's score is concave and piecewise linear in theta; the
@@ -35,15 +35,14 @@ from .geometry import (
     BeliefSet,
     ConvexCapacity,
     DimensionMismatchError,
-    Prior,
     StateSpace,
     UtilityAct,
     _check_same_states,
     _readonly,
+    _require_supermodular,
     _simplex,
     core_of_capacity,
-    is_supermodular,
-    set_equal,
+    is_subset,
 )
 
 GROUNDED_TOL = 1e-9
@@ -325,9 +324,9 @@ def _lower_envelope_capacity(M: BeliefSet) -> ConvexCapacity:
 class CapModel:
     """A perception family, a cost, and an evaluator variant."""
 
-    __slots__ = ("states", "family", "variant", "capacities", "_cap_values")
+    __slots__ = ("states", "family", "variant")
 
-    def __init__(self, states: StateSpace, family, variant: str, capacities=None):
+    def __init__(self, states: StateSpace, family, variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if family.states != states:
@@ -343,30 +342,23 @@ class CapModel:
         if variant == "choquet":
             if not isinstance(family, FiniteFamily):
                 raise ValueError("choquet variant requires a finite family of cores")
-            sets = family.sets
-            if capacities is None:
-                capacities = tuple(_lower_envelope_capacity(M) for M in sets)
-            capacities = tuple(capacities)
-            if len(capacities) != len(sets):
-                raise ValueError("one capacity per family member required")
-            for nu, M in zip(capacities, sets):
-                if nu.states != states:
-                    raise DimensionMismatchError("capacity over a different state space")
-                if not is_supermodular(nu):
-                    raise ValueError("family member is not the core of a supermodular capacity")
-                if not set_equal(core_of_capacity(nu), M):
-                    raise ValueError("family member does not equal its capacity's core")
-            object.__setattr__(
-                self, "_cap_values", _readonly(np.vstack([nu.values for nu in capacities]))
-            )
-        else:
-            if capacities is not None:
-                raise ValueError("capacities only apply to the choquet variant")
-            object.__setattr__(self, "_cap_values", None)
+            # A member M is a core iff M = core(nu) for its lower envelope nu.
+            # M is always inside core(nu): every mu in conv(M) has
+            # mu(E) >= min over the vertices v of v(E) = nu(E).  So only the
+            # other inclusion is checked.
+            for M in family.sets:
+                nu = _lower_envelope_capacity(M)
+                try:
+                    _require_supermodular(nu)
+                except ValueError:
+                    raise ValueError(
+                        "family member is not the core of a supermodular capacity"
+                    ) from None
+                if not is_subset(core_of_capacity(nu), M):
+                    raise ValueError("family member does not equal its envelope's core")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "capacities", capacities)
 
     def __setattr__(self, name, value):
         raise AttributeError("CapModel is immutable")
@@ -374,9 +366,8 @@ class CapModel:
     @classmethod
     def from_capacities(cls, states: StateSpace, pairs) -> "CapModel":
         """Build the choquet variant from (ConvexCapacity, cost) pairs."""
-        pairs = list(pairs)
         family = FiniteFamily([(core_of_capacity(nu), c) for nu, c in pairs])
-        return cls(states, family, "choquet", capacities=[nu for nu, _ in pairs])
+        return cls(states, family, "choquet")
 
     @property
     def is_parametric(self) -> bool:
@@ -397,22 +388,9 @@ class EvaluationResult:
     optimal_perceptions: tuple
 
 
-def _choquet_values(cap_values: np.ndarray, payoff_matrix: np.ndarray) -> np.ndarray:
-    """(n_capacities, n_acts) Choquet integrals by descending sort-and-sum."""
-    orders = np.argsort(-payoff_matrix, axis=1, kind="stable")
-    sorted_pay = np.take_along_axis(payoff_matrix, orders, axis=1)
-    prefix_masks = np.cumsum(1 << orders, axis=1)
-    prefix_vals = cap_values[:, prefix_masks]
-    increments = np.diff(prefix_vals, axis=2, prepend=0.0)
-    return np.einsum("ma,kma->km", sorted_pay, increments)
-
-
 def _finite_scores(model: CapModel, P: Lottery) -> np.ndarray:
     family = model.family
-    if model.variant == "choquet":
-        meu = _choquet_values(model._cap_values, P.payoff_matrix) @ P.probs
-    else:
-        meu = family.meu_matrix(P.payoff_matrix) @ P.probs
+    meu = family.meu_matrix(P.payoff_matrix) @ P.probs
     return meu + _COST_SIGN[model.variant] * family.costs
 
 

@@ -38,6 +38,7 @@ from .axioms import (
     check_axiom,
     machina_5051_dual_self_property,
     necessary_axioms,
+    require_5051_box,
 )
 from .comparatives import (
     dominates_benefit,
@@ -456,6 +457,7 @@ def _bind_machina_property(s: Scenario, q: _Keys):
     family = q.named("family", s.families, "family")
     if not isinstance(family, FiniteFamily):
         raise ScenarioError(q.at("family"), "expected a finite family")
+    _construct(q.at("family"), require_5051_box, family.sets)
 
     def run(seed):
         sampler = LotterySampler(s.states, seed=seed)

@@ -61,6 +61,16 @@ BAD_GRID = FAILING_EXPECT.replace(
     ' vertices: [["1/2 - 1/2*t", "1/2 + 1/2*t"]]}\n',
 )
 
+OUTSIDE_5051_BOX = """
+name: outside
+states: [red, blue, green, purple]
+acts: {f: [1, 0, 0, 0]}
+families:
+  m: {kind: finite, members: [{vertices: [["1/4", "1/4", "1/4", "1/4"]], cost: 0}]}
+queries:
+  - {kind: machina_property, family: m}
+"""
+
 RUNTIME_ERROR = """
 name: erroring
 states: [a, b]
@@ -109,6 +119,12 @@ class TestExitCodes:
         assert main(["eval", _write(tmp_path, BAD_GRID)]) == 2
         out, err = capsys.readouterr()
         assert "families.p.grid_resolution" in err
+        assert out == ""
+
+    def test_machina_family_outside_the_box(self, tmp_path, capsys):
+        assert main(["axioms", _write(tmp_path, OUTSIDE_5051_BOX)]) == 2
+        out, err = capsys.readouterr()
+        assert "queries[0].family" in err
         assert out == ""
 
     @pytest.mark.parametrize("pairs", ["[[0.7, f], [0.7, g]]", "[[1.5, f], [-0.5, g]]"])

@@ -39,6 +39,7 @@ from ambicap.stock import (
     family_5051,
     model_5051,
     model_reflection,
+    triangle_model,
 )
 
 P_VAL = 50.0 / 101.0
@@ -308,9 +309,7 @@ class TestChoquetVariant:
         sampler = LotterySampler(states, seed=seed % 997)
         for _ in range(5):
             P = sampler.lottery()
-            assert evaluate_value(choquet_model, P) == pytest.approx(
-                evaluate_value(cap_model, P), abs=1e-9
-            )
+            assert evaluate_value(choquet_model, P) == evaluate_value(cap_model, P)
 
     def test_single_capacity_is_choquet_integral(self, states3):
         rng = np.random.default_rng(4)
@@ -320,6 +319,22 @@ class TestChoquetVariant:
         assert evaluate_value(model, _dirac(phi)) == pytest.approx(
             choquet_integral(nu, phi), abs=1e-12
         )
+
+    def test_rejects_member_strictly_inside_its_envelope_core(self):
+        triangle = triangle_model()
+        with pytest.raises(ValueError, match="envelope's core"):
+            CapModel(triangle.states, triangle.family, "choquet")
+
+    def test_rejects_member_with_non_supermodular_envelope(self, states4):
+        # with states r, b, g, p: nu(rbg) + nu(r) = 0.5 + 0 < nu(rb) + nu(rg) = 1
+        M = BeliefSet(states4, [[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="supermodular"):
+            CapModel(states4, FiniteFamily([(M, 0.0)]), "choquet")
+
+    def test_rejects_parametric_family(self):
+        family = family_5051(3)
+        with pytest.raises(ValueError, match="finite family"):
+            CapModel(family.states, family, "choquet")
 
 
 def _reference_merge(probs, rows):

@@ -153,6 +153,7 @@ class TestLoading:
             ("varient: cautious", "models.main.varient"),
             ("cots: 0", "families.m.members[0].cots"),
             ("querys: []", "querys"),
+            ("{kind: machina_property, family: m}", "queries[1].family"),
         ],
     )
     def test_path_precise_errors(self, tmp_path, breakage, path_fragment):
