@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Layer timings at fixed seeds, each the best of several repeats.
+
+    PYTHONPATH=src python3 scripts/bench_layers.py --label NAME --out BENCH.json
+
+Times the ``ambicap`` that Python imports:
+
+    finite_evaluate_value_us       one ``evaluate_value`` on a 4-state finite
+                                   ``cap`` model, per call
+    finite_kernel_per_lottery_us   one ``evaluate_values`` call over the same
+                                   lotteries, per lottery (null when the
+                                   package has no ``evaluate_values``)
+    check_axiom_ms                 one 150-trial ``check_axiom`` per variant,
+                                   the mean over the variant's necessary
+                                   axioms (A1 aside)
+    c4_body_s                      the body of the acceptance test
+                                   ``test_c4_axiom_necessity_suite``
+
+The timings go to ``runs[NAME]`` of the JSON file at ``--out``, which is
+created or updated, next to a ``machine`` block.  ``--out -`` prints the
+file instead.  ``--tiny`` shrinks every input for a smoke run.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import ambicap
+from ambicap import VARIANTS, StateSpace, check_axiom, evaluate_value, necessary_axioms
+from ambicap.sampling import LotterySampler, random_cap_model
+
+
+def best_of(repeats: int, fn) -> float:
+    """Least wall time of ``repeats`` calls of ``fn``, in seconds."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
+    states = StateSpace(["s0", "s1", "s2", "s3"])
+    model = random_cap_model(states, np.random.default_rng(5), "cap")
+    sampler = LotterySampler(states, seed=1)
+    lotteries = [sampler.lottery() for _ in range(n_lotteries)]
+    single = best_of(repeats, lambda: [evaluate_value(model, P) for P in lotteries])
+    out = {
+        "members": len(model.family),
+        "lotteries": n_lotteries,
+        "finite_evaluate_value_us": single / n_lotteries * 1e6,
+        "finite_kernel_per_lottery_us": None,
+    }
+    if hasattr(ambicap, "evaluate_values"):
+        probs, payoffs = ambicap.stack_lotteries(
+            [(P.probs, P.payoff_matrix) for P in lotteries], len(states)
+        )
+        batched = best_of(repeats, lambda: ambicap.evaluate_values(model, probs, payoffs))
+        out["finite_kernel_per_lottery_us"] = batched / n_lotteries * 1e6
+    return out
+
+
+def axiom_ops(repeats: int, trials: int) -> dict:
+    out = {}
+    for k, variant in enumerate(VARIANTS):
+        states = StateSpace(["s0", "s1", "s2"])
+        model = random_cap_model(states, np.random.default_rng(100 + k), variant)
+        axioms = [a for a in necessary_axioms(model) if a != "A1-nondegeneracy"]
+
+        def run():
+            for i, axiom_id in enumerate(axioms):
+                check_axiom(model, axiom_id, LotterySampler(states, seed=i), trials)
+
+        out[variant] = best_of(repeats, run) / len(axioms) * 1e3
+    return out
+
+
+def c4_body(n_models: int, trials: int) -> None:
+    """The loop of ``test_c4_axiom_necessity_suite``, without its verdict."""
+
+    def states_for(rng):
+        return StateSpace([f"s{j}" for j in range(int(rng.integers(2, 5)))])
+
+    for i in range(n_models):
+        rng = np.random.default_rng(1000 + i)
+        model = random_cap_model(states_for(rng), rng, variant="cap")
+        for axiom_id in ("A2-FSD", "A3-aepr", "A4-imtc", "A5-eaar", "A6-ica"):
+            check_axiom(model, axiom_id, LotterySampler(model.states, seed=i), trials)
+    special = {"cautious": "A-eapr", "dual_self": "A-sica", "choquet": "A-imtcm"}
+    for variant, axiom_id in special.items():
+        for i in range(n_models):
+            rng = np.random.default_rng(2000 + i)
+            model = random_cap_model(states_for(rng), rng, variant=variant)
+            check_axiom(model, axiom_id, LotterySampler(model.states, seed=i), trials)
+    for i in range(n_models):
+        rng = np.random.default_rng(3000 + i)
+        model = random_cap_model(states_for(rng), rng, singleton=True)
+        check_axiom(model, "A-imt", LotterySampler(model.states, seed=i), trials)
+
+
+def machine() -> dict:
+    return {
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", default="run", help="key of this run under runs")
+    parser.add_argument("--out", default="-", help="JSON file to create or update, or - for stdout")
+    parser.add_argument("--repeats", type=int, default=5, help="repeats per timing; the best is kept")
+    parser.add_argument("--tiny", action="store_true", help="tiny inputs, for a smoke run")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    n_lotteries, trials, c4_models, c4_trials = (20, 5, 1, 5) if args.tiny else (2000, 150, 20, 1000)
+    run = {
+        "repeats": args.repeats,
+        **finite_evaluation(args.repeats, n_lotteries),
+        "check_axiom_ms": axiom_ops(args.repeats, trials),
+        "check_axiom_trials": trials,
+        "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
+        "c4_models": c4_models,
+        "c4_trials": c4_trials,
+    }
+    path = None if args.out == "-" else Path(args.out)
+    doc = json.loads(path.read_text()) if path is not None and path.exists() else {"runs": {}}
+    doc["machine"] = machine()
+    doc["runs"][args.label] = run
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

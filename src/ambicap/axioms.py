@@ -7,6 +7,15 @@ evaluation.  Antecedents of conditional axioms get a small slack (1e-9) so
 that knife-edge indifferences cannot mask genuine violations; variants
 that satisfy an axiom do so with exact arithmetic identities, so the slack
 never manufactures false counterexamples.
+
+Trials run in chunks of 1, 2, 4, ... and at most ``_MAX_CHUNK`` trials.  A
+chunk draws each trial's numbers in trial order, holds its lotteries as
+zero-padded arrays, scores all of them with few ``evaluate_values`` calls
+and computes its violations as one array expression.  The first violating
+trial is the witness.  The chunk that holds it is drawn again from its
+start up to the witness, so the sampler ends where trial-by-trial drawing
+would leave it.  Chunks grow from one trial because every trial scored
+past the witness is wasted, and on a parametric model each costs an LP.
 """
 
 from __future__ import annotations
@@ -15,16 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UtilityAct
+from .geometry import UtilityAct, _check_same_states
 from .model import (
     CapModel,
     FiniteFamily,
     Lottery,
-    constant_act,
     evaluate_value,
+    evaluate_values,
     mix_acts,
-    mix_lotteries,
     serialize_lottery,
+    stack_lotteries,
 )
 from .stock import P_5051, STATES_4, acts_5051, auxiliary_acts
 
@@ -45,6 +54,7 @@ AXIOM_IDS = (
 TRIAL_TOL = 1e-7
 RECHECK_TOL = 1e-8
 _SLACK = 1e-9
+_MAX_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -55,17 +65,31 @@ class AxiomReport:
     trials: int
 
 
-def _U(model: CapModel, P: Lottery) -> float:
-    return evaluate_value(model, P)
+# A trial's ingredients map a key to a float, an act's payoff vector, or a
+# lottery's (probs, payoffs) arrays.  A chunk stacks them into (B,) floats,
+# (B, S) acts and zero-padded (B, A) / (B, A, S) lotteries.
 
 
-def _serialize_raw(raw: dict) -> dict:
+def _stack(model: CapModel, rows: list[dict]) -> dict:
+    chunk = {}
+    for key, first in rows[0].items():
+        column = [row[key] for row in rows]
+        if isinstance(first, tuple):
+            chunk[key] = stack_lotteries(column, len(model.states))
+        else:
+            chunk[key] = np.array(column, dtype=float)
+            if not np.isfinite(chunk[key]).all():
+                raise ValueError(f"trial ingredient {key!r} must be finite")
+    return chunk
+
+
+def _serialize(model: CapModel, row: dict) -> dict:
     out = {}
-    for key, val in raw.items():
-        if isinstance(val, UtilityAct):
-            out[key] = val.payoffs.tolist()
-        elif isinstance(val, Lottery):
-            out[key] = serialize_lottery(val)
+    for key, val in row.items():
+        if isinstance(val, tuple):
+            out[key] = serialize_lottery(Lottery(model.states, *val))
+        elif isinstance(val, np.ndarray):
+            out[key] = val.tolist()
         else:
             out[key] = float(val)
     return out
@@ -73,184 +97,219 @@ def _serialize_raw(raw: dict) -> dict:
 
 _ACT_KEYS = frozenset(["f", "g"])
 _LOTTERY_KEYS = frozenset(["P", "Q", "R"])
+_WEIGHT_KEYS = frozenset(["kappa", "lam"])
 
 
-def _deserialize_raw(states, data: dict) -> dict:
-    raw = {}
+def _deserialize(model: CapModel, data: dict) -> dict:
+    row = {}
     for key, val in data.items():
         if key in _ACT_KEYS:
-            raw[key] = UtilityAct(states, val)
+            row[key] = UtilityAct(model.states, val).payoffs
         elif key in _LOTTERY_KEYS:
-            probs, payoffs = zip(*val)
-            raw[key] = Lottery(states, probs, payoffs)
+            P = Lottery(model.states, *zip(*val))
+            row[key] = (P.probs, P.payoff_matrix)
         elif key != "violation":
-            raw[key] = float(val)
-    return raw
+            row[key] = float(val)
+            if key in _WEIGHT_KEYS and not 0.0 <= row[key] <= 1.0:
+                raise ValueError(f"mixture weight {key}={val} outside [0, 1]")
+    return row
 
 
-def _iff_violation(d1: float, d2: float) -> float:
+# lottery arithmetic over a chunk: the array forms of Lottery.dirac,
+# Lottery.constant, mix_lotteries and mix_acts
+
+
+def _dirac(acts):
+    return np.ones((len(acts), 1)), acts[:, None, :]
+
+
+def _constant(t, n_states: int):
+    return np.ones((len(t), 1)), np.broadcast_to(t[:, None, None], (len(t), 1, n_states))
+
+
+def _mix(lam, P, Q):
+    w = lam[:, None]
+    return (
+        np.concatenate((w * P[0], (1.0 - w) * Q[0]), axis=1),
+        np.concatenate((P[1], Q[1]), axis=1),
+    )
+
+
+def _mix_acts(lam, f, g):
+    w = lam[:, None]
+    return w * f + (1.0 - w) * g
+
+
+def _values(model: CapModel, *lotteries) -> np.ndarray:
+    """(len(lotteries), B) values of stacked lotteries, from one
+    ``evaluate_values`` call."""
+    n_rows = len(lotteries[0][0])
+    width = max(p.shape[1] for p, _ in lotteries)
+    probs = np.zeros((len(lotteries), n_rows, width))
+    payoffs = np.zeros((len(lotteries), n_rows, width, len(model.states)))
+    for i, (p, x) in enumerate(lotteries):
+        probs[i, :, : p.shape[1]] = p
+        payoffs[i, :, : p.shape[1]] = x
+    values = evaluate_values(
+        model, probs.reshape(-1, width), payoffs.reshape(-1, width, len(model.states))
+    )
+    return values.reshape(len(lotteries), n_rows)
+
+
+def _iff_violation(d1, d2):
     """Violation size of 'd1-ranking implies matching d2-ranking' taken in
     both weak directions (the form all mixture-independence axioms share)."""
-    v = 0.0
-    if d1 >= -_SLACK:
-        v = max(v, -d2)
-    if d1 <= _SLACK:
-        v = max(v, d2)
-    return max(0.0, v)
+    v = np.where(d1 >= -_SLACK, np.maximum(0.0, -d2), 0.0)
+    v = np.where(d1 <= _SLACK, np.maximum(v, d2), v)
+    return np.maximum(0.0, v)
 
 
-# violation functions: nonnegative magnitude, > tol means the axiom fails
+# violation functions over a chunk: nonnegative magnitudes, > tol means the
+# axiom fails
 
 
-def _viol_fsd(model, raw):
-    return max(0.0, _U(model, raw["Q"]) - _U(model, raw["P"]))
+def _fsd_violations(model, c):
+    up, uq = _values(model, c["P"], c["Q"])
+    return np.maximum(0.0, uq - up)
 
 
-def _viol_timing(model, raw, equality: bool) -> float:
-    kappa, lam = raw["kappa"], raw["lam"]
-    ex_post = Lottery.dirac(mix_acts(lam, raw["f"], raw["g"]))
-    ex_ante = mix_lotteries(
-        lam, Lottery.dirac(raw["f"]), Lottery.dirac(raw["g"])
+def _timing_violations(model, c, equality: bool):
+    kappa, lam = c["kappa"], c["lam"]
+    ex_post = _dirac(_mix_acts(lam, c["f"], c["g"]))
+    ex_ante = _mix(lam, _dirac(c["f"]), _dirac(c["g"]))
+    lhs, rhs = _values(model, _mix(kappa, ex_post, c["R"]), _mix(kappa, ex_ante, c["R"]))
+    return np.abs(lhs - rhs) if equality else np.maximum(0.0, rhs - lhs)
+
+
+def _aepr_violations(model, c):
+    return _timing_violations(model, c, equality=False)
+
+
+def _imt_violations(model, c):
+    return _timing_violations(model, c, equality=True)
+
+
+def _eaar_violations(model, c):
+    mixed, up, uq = _values(model, _mix(c["lam"], c["P"], c["Q"]), c["P"], c["Q"])
+    return np.maximum(0.0, mixed - np.maximum(up, uq))
+
+
+def _eapr_violations(model, c):
+    mixed, up, uq = _values(model, _mix(c["lam"], c["P"], c["Q"]), c["P"], c["Q"])
+    return np.maximum(0.0, np.minimum(up, uq) - mixed)
+
+
+def _ica_violations(model, c):
+    lam, n_states = c["lam"], len(model.states)
+    dp, dq = _constant(c["p"], n_states), _constant(c["q"], n_states)
+    pp, qp, pq, qq = _values(
+        model, _mix(lam, c["P"], dp), _mix(lam, c["Q"], dp),
+        _mix(lam, c["P"], dq), _mix(lam, c["Q"], dq),
     )
-    lhs = _U(model, mix_lotteries(kappa, ex_post, raw["R"]))
-    rhs = _U(model, mix_lotteries(kappa, ex_ante, raw["R"]))
-    return abs(lhs - rhs) if equality else max(0.0, rhs - lhs)
+    return _iff_violation(pp - qp, pq - qq)
 
 
-def _viol_aepr(model, raw):
-    return _viol_timing(model, raw, equality=False)
-
-
-def _viol_imt(model, raw):
-    return _viol_timing(model, raw, equality=True)
-
-
-def _viol_eaar(model, raw):
-    mixed = _U(model, mix_lotteries(raw["lam"], raw["P"], raw["Q"]))
-    return max(0.0, mixed - max(_U(model, raw["P"]), _U(model, raw["Q"])))
-
-
-def _viol_eapr(model, raw):
-    mixed = _U(model, mix_lotteries(raw["lam"], raw["P"], raw["Q"]))
-    return max(0.0, min(_U(model, raw["P"]), _U(model, raw["Q"])) - mixed)
-
-
-def _viol_ica(model, raw):
-    lam = raw["lam"]
-    dp = Lottery.constant(model.states, raw["p"])
-    dq = Lottery.constant(model.states, raw["q"])
-    d1 = _U(model, mix_lotteries(lam, raw["P"], dp)) - _U(
-        model, mix_lotteries(lam, raw["Q"], dp)
+def _sica_violations(model, c):
+    lam = c["lam"]
+    dp = _constant(c["p"], len(model.states))
+    up, uq, pp, qp = _values(
+        model, c["P"], c["Q"], _mix(lam, c["P"], dp), _mix(lam, c["Q"], dp)
     )
-    d2 = _U(model, mix_lotteries(lam, raw["P"], dq)) - _U(
-        model, mix_lotteries(lam, raw["Q"], dq)
+    return _iff_violation(up - uq, pp - qp)
+
+
+def _psr_violations(model, c):
+    lam, f, g = c["lam"], c["f"], c["g"]
+    uf, ug = _values(model, _dirac(f), _dirac(g))
+    swap = uf < ug
+    f, g = np.where(swap[:, None], g, f), np.where(swap[:, None], f, g)
+    uf, ug = np.where(swap, ug, uf), np.where(swap, uf, ug)
+    pbar = c["p"][:, None]
+    u_mix, e_f, e_g = _values(
+        model,
+        _dirac(_mix_acts(lam, f, g)),
+        _dirac(_mix_acts(lam, f, pbar)),
+        _dirac(_mix_acts(lam, g, pbar)),
     )
-    return _iff_violation(d1, d2)
+    return np.maximum(np.maximum(0.0, ug - u_mix), _iff_violation(uf - ug, e_f - e_g))
 
 
-def _viol_sica(model, raw):
-    lam = raw["lam"]
-    dp = Lottery.constant(model.states, raw["p"])
-    d1 = _U(model, raw["P"]) - _U(model, raw["Q"])
-    d2 = _U(model, mix_lotteries(lam, raw["P"], dp)) - _U(
-        model, mix_lotteries(lam, raw["Q"], dp)
-    )
-    return _iff_violation(d1, d2)
+# trial draws: one trial's numbers, taken from the sampler in a fixed order
 
 
-def _viol_psr(model, raw):
-    lam = raw["lam"]
-    f, g = raw["f"], raw["g"]
-    uf, ug = _U(model, Lottery.dirac(f)), _U(model, Lottery.dirac(g))
-    if uf < ug:
-        f, g, uf, ug = g, f, ug, uf
-    u_mix = _U(model, Lottery.dirac(mix_acts(lam, f, g)))
-    part1 = max(0.0, ug - u_mix)
-    pbar = constant_act(model.states, raw["p"])
-    e1 = _U(model, Lottery.dirac(mix_acts(lam, f, pbar))) - _U(
-        model, Lottery.dirac(mix_acts(lam, g, pbar))
-    )
-    part2 = _iff_violation(uf - ug, e1)
-    return max(part1, part2)
+def _draw_fsd(model, sampler):
+    probs, payoffs = sampler.draw_lottery()
+    drops = sampler.rng.uniform(0.0, 50.0, payoffs.shape)
+    return {"P": (probs, payoffs), "Q": (probs, payoffs - drops)}
 
 
-# trial ingredient generators
-
-
-def _gen_fsd(model, sampler):
-    P = sampler.lottery()
-    drops = sampler.rng.uniform(0.0, 50.0, P.payoff_matrix.shape)
-    return {"P": P, "Q": Lottery(model.states, P.probs, P.payoff_matrix - drops)}
-
-
-def _gen_timing(model, sampler):
+def _draw_timing(model, sampler):
     return {
         "kappa": sampler.uniform(),
         "lam": sampler.uniform(),
-        "f": sampler.act(),
-        "g": sampler.act(),
-        "R": sampler.lottery(),
+        "f": sampler.draw_act(),
+        "g": sampler.draw_act(),
+        "R": sampler.draw_lottery(),
     }
 
 
-def _gen_timing_constant(model, sampler):
-    raw = _gen_timing(model, sampler)
-    raw["g"] = constant_act(model.states, sampler.payoff())
+def _draw_timing_constant(model, sampler):
+    raw = _draw_timing(model, sampler)
+    raw["g"] = np.full(len(model.states), sampler.payoff())
     return raw
 
 
-def _gen_timing_comonotone(model, sampler):
-    raw = _gen_timing(model, sampler)
-    f = raw["f"]
+def _draw_timing_comonotone(model, sampler):
+    raw = _draw_timing(model, sampler)
     n = len(model.states)
     values = np.sort(sampler.rng.uniform(sampler.low, sampler.high, n))
     if n > 1 and sampler.rng.random() < 0.25:
         i = int(sampler.rng.integers(n - 1))
         values[i + 1] = values[i]  # ties count as comonotone
     g = np.empty(n)
-    g[np.argsort(f.payoffs, kind="stable")] = values
-    raw["g"] = UtilityAct(model.states, g)
+    g[np.argsort(raw["f"], kind="stable")] = values
+    raw["g"] = g
     return raw
 
 
-def _gen_pair_mix(model, sampler):
-    P, Q = sampler.pair()
+def _draw_pair_mix(model, sampler):
+    P, Q = sampler.draw_pair()
     return {"lam": sampler.uniform(), "P": P, "Q": Q}
 
 
-def _gen_ica(model, sampler):
-    raw = _gen_pair_mix(model, sampler)
+def _draw_ica(model, sampler):
+    raw = _draw_pair_mix(model, sampler)
     raw["p"] = sampler.payoff()
     raw["q"] = sampler.payoff()
     return raw
 
 
-def _gen_sica(model, sampler):
-    raw = _gen_pair_mix(model, sampler)
+def _draw_sica(model, sampler):
+    raw = _draw_pair_mix(model, sampler)
     raw["p"] = sampler.payoff()
     return raw
 
 
-def _gen_psr(model, sampler):
+def _draw_psr(model, sampler):
     return {
         "lam": sampler.uniform(),
-        "f": sampler.act(),
-        "g": sampler.act(),
+        "f": sampler.draw_act(),
+        "g": sampler.draw_act(),
         "p": sampler.payoff(),
     }
 
 
 _AXIOM_TABLE = {
-    "A2-FSD": (_gen_fsd, _viol_fsd),
-    "A3-aepr": (_gen_timing, _viol_aepr),
-    "A4-imtc": (_gen_timing_constant, _viol_imt),
-    "A5-eaar": (_gen_pair_mix, _viol_eaar),
-    "A6-ica": (_gen_ica, _viol_ica),
-    "A-imtcm": (_gen_timing_comonotone, _viol_imt),
-    "A-imt": (_gen_timing, _viol_imt),
-    "A-sica": (_gen_sica, _viol_sica),
-    "A-eapr": (_gen_pair_mix, _viol_eapr),
-    "A-psr": (_gen_psr, _viol_psr),
+    "A2-FSD": (_draw_fsd, _fsd_violations),
+    "A3-aepr": (_draw_timing, _aepr_violations),
+    "A4-imtc": (_draw_timing_constant, _imt_violations),
+    "A5-eaar": (_draw_pair_mix, _eaar_violations),
+    "A6-ica": (_draw_ica, _ica_violations),
+    "A-imtcm": (_draw_timing_comonotone, _imt_violations),
+    "A-imt": (_draw_timing, _imt_violations),
+    "A-sica": (_draw_sica, _sica_violations),
+    "A-eapr": (_draw_pair_mix, _eapr_violations),
+    "A-psr": (_draw_psr, _psr_violations),
 }
 
 
@@ -262,7 +321,7 @@ def _check_nondegeneracy(model, sampler, n) -> AxiomReport:
     ]
     for k in range(n):
         P, Q = probes[k] if k < len(probes) else sampler.pair()
-        if abs(_U(model, P) - _U(model, Q)) > TRIAL_TOL:
+        if abs(evaluate_value(model, P) - evaluate_value(model, Q)) > TRIAL_TOL:
             return AxiomReport("A1-nondegeneracy", True, None, k + 1)
     return AxiomReport(
         "A1-nondegeneracy",
@@ -273,19 +332,36 @@ def _check_nondegeneracy(model, sampler, n) -> AxiomReport:
 
 
 def check_axiom(model: CapModel, axiom_id: str, sampler, n: int = 1000) -> AxiomReport:
-    """Run n seeded trials of the axiom and report the first violation."""
+    """Run n seeded trials of the axiom and report the first violation.
+
+    ``n`` must be at least 1.  The sampler ends where drawing the reported
+    trials one at a time would leave it.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one trial, got n={n}")
     if axiom_id == "A1-nondegeneracy":
         return _check_nondegeneracy(model, sampler, n)
     if axiom_id not in _AXIOM_TABLE:
         raise ValueError(f"unknown axiom id {axiom_id!r}; expected one of {AXIOM_IDS}")
-    gen, viol = _AXIOM_TABLE[axiom_id]
-    for k in range(n):
-        raw = gen(model, sampler)
-        v = viol(model, raw)
-        if v > TRIAL_TOL:
-            witness = _serialize_raw(raw)
-            witness["violation"] = v
-            return AxiomReport(axiom_id, False, witness, k + 1)
+    _check_same_states(model, sampler)
+    draw, violations = _AXIOM_TABLE[axiom_id]
+    done, size = 0, 1
+    while done < n:
+        mark = sampler.checkpoint()
+        rows = [draw(model, sampler) for _ in range(min(size, n - done))]
+        v = violations(model, _stack(model, rows))
+        bad = np.flatnonzero(v > TRIAL_TOL)
+        if bad.size:
+            w = int(bad[0])
+            if w + 1 < len(rows):
+                sampler.rewind(mark)
+                for _ in range(w + 1):
+                    draw(model, sampler)
+            witness = _serialize(model, rows[w])
+            witness["violation"] = float(v[w])
+            return AxiomReport(axiom_id, False, witness, done + w + 1)
+        done += len(rows)
+        size = min(2 * size, _MAX_CHUNK)
     return AxiomReport(axiom_id, True, None, n)
 
 
@@ -296,8 +372,8 @@ def recheck_witness(
     tolerance; returns (still_violated, magnitude)."""
     if axiom_id not in _AXIOM_TABLE:
         raise ValueError(f"unknown axiom id {axiom_id!r}; expected one of {AXIOM_IDS}")
-    raw = _deserialize_raw(model.states, witness)
-    magnitude = _AXIOM_TABLE[axiom_id][1](model, raw)
+    chunk = _stack(model, [_deserialize(model, witness)])
+    magnitude = float(_AXIOM_TABLE[axiom_id][1](model, chunk)[0])
     return magnitude > tol, magnitude
 
 
@@ -347,13 +423,13 @@ def machina_5051_dual_self_property(Msets, sampler) -> AxiomReport:
     )
     aux = auxiliary_acts()
     g, h = aux["g"], aux["h"]
-    ug = _U(model, Lottery.dirac(g))
-    uh = _U(model, Lottery.dirac(h))
+    ug = evaluate_value(model, Lottery.dirac(g))
+    uh = evaluate_value(model, Lottery.dirac(h))
     trials = 0
     alphas = [0.0, 0.25, 0.5, 0.75, 1.0] + [sampler.uniform() for _ in range(3)]
     for alpha in alphas:
         trials += 1
-        mixed = _U(model, Lottery.dirac(mix_acts(alpha, g, h)))
+        mixed = evaluate_value(model, Lottery.dirac(mix_acts(alpha, g, h)))
         gap = abs(mixed - (alpha * ug + (1.0 - alpha) * uh))
         if gap > TRIAL_TOL:
             return AxiomReport(
@@ -363,7 +439,7 @@ def machina_5051_dual_self_property(Msets, sampler) -> AxiomReport:
                 trials,
             )
     acts = acts_5051()
-    u = {k: _U(model, Lottery.dirac(a)) for k, a in acts.items()}
+    u = {k: evaluate_value(model, Lottery.dirac(a)) for k, a in acts.items()}
     trials += 1
     d12 = u["f1"] - u["f2"]
     d34 = u["f3"] - u["f4"]

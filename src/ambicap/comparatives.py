@@ -20,8 +20,10 @@ from .model import (
     Lottery,
     evaluate,
     evaluate_value,
+    evaluate_values,
     mix_lotteries,
     serialize_lottery,
+    stack_lotteries,
 )
 
 log = logging.getLogger(__name__)
@@ -45,6 +47,11 @@ def _require_cap(*models):
     for m in models:
         if m.variant != "cap":
             raise ValueError(f"comparative defined for cap models, got {m.variant!r}")
+
+
+def _require_samples(n: int):
+    if n < 1:
+        raise ValueError(f"need at least one sample, got n={n}")
 
 
 def perceptions_intersect(tags1, tags2) -> bool:
@@ -103,6 +110,7 @@ def more_tolerant_ea_randomization(
     """Wherever model2's value is affine between two lotteries, model1's
     must be too."""
     _require_cap(model1, model2)
+    _require_samples(n)
     for i in range(n):
         P, Q = sampler.pair()
         if shares_optimal_perception(model2, P, Q) and not shares_optimal_perception(
@@ -121,6 +129,7 @@ def more_tolerant_ambiguity(
 ) -> ComparativeVerdict:
     """model1 values every sampled lottery at least as highly as model2."""
     _require_cap(model1, model2)
+    _require_samples(n)
     for i in range(n):
         P = sampler.lottery()
         v1 = evaluate_value(model1, P)
@@ -140,6 +149,7 @@ def higher_filtering_incentives(
     """Whenever model2 prefers the lottery ingredient over its constant
     replacement inside a mixture, model1 does too."""
     _require_cap(model1, model2)
+    _require_samples(n)
     for i in range(n):
         lam = sampler.uniform()
         P, Q = sampler.pair()
@@ -173,25 +183,26 @@ def dominates_benefit(
 
     Also samples n lotteries checking the equivalent value form (the best
     expected MEU under the first family dominates the second's); a sampled
-    contradiction of a structural "true" would indicate a bug and is
-    reported, never silently dropped.
+    contradiction of a structural "true" would indicate a bug.  Each one is
+    logged and appended to ``diagnostics`` in sample order, never silently
+    dropped.
     """
     Msets, Mprime_sets = list(Msets), list(Mprime_sets)
     structural = all(
         any(is_subset(M, Mp) for M in Msets) for Mp in Mprime_sets
     )
-    if structural:
+    if structural and n > 0:
         # zero-cost dual_self: the value is the best expected MEU
         best, best_prime = (
             CapModel(sets[0].states, FiniteFamily([(M, 0.0) for M in sets]), "dual_self")
             for sets in (Msets, Mprime_sets)
         )
-        for _ in range(n):
-            P = sampler.lottery()
-            gap = evaluate_value(best, P) - evaluate_value(best_prime, P)
-            if gap < -SHARES_TOL:
-                note = {"P": serialize_lottery(P), "gap": gap}
-                log.error("benefit dominance sampled contradiction: %s", note)
-                if diagnostics is not None:
-                    diagnostics.append(note)
+        draws = [sampler.draw_lottery() for _ in range(n)]
+        probs, payoffs = stack_lotteries(draws, len(best.states))
+        gaps = evaluate_values(best, probs, payoffs) - evaluate_values(best_prime, probs, payoffs)
+        for i in np.flatnonzero(gaps < -SHARES_TOL):
+            note = {"P": serialize_lottery(Lottery(best.states, *draws[i])), "gap": float(gaps[i])}
+            log.error("benefit dominance sampled contradiction: %s", note)
+            if diagnostics is not None:
+                diagnostics.append(note)
     return structural

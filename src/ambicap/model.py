@@ -11,7 +11,10 @@ functional forms:
     choquet        like cap, but every member must be the core of a convex
                    capacity, so its MEU is that capacity's Choquet integral
 
-Every value is exact.  A finite family is enumerated.  On a parametric
+Every value is exact.  A finite family is enumerated by one kernel,
+``evaluate_values``, which scores a batch of zero-padded lotteries; a
+single ``evaluate`` or ``evaluate_value`` is its batch of one, so a value
+does not depend on the batch it is scored in.  On a parametric
 family each variant's score is concave and piecewise linear in theta; the
 grid (which holds every box corner) is scored first, the min variants take
 the grid minimum, which a concave score attains at a corner, and the max
@@ -46,6 +49,7 @@ from .geometry import (
 )
 
 GROUNDED_TOL = 1e-9
+_KERNEL_ENTRIES = 1 << 16
 
 VARIANTS = ("cap", "cautious", "dual_self", "double_maxmin", "choquet")
 
@@ -134,6 +138,37 @@ def serialize_lottery(P: Lottery) -> list:
     return [list(atom) for atom in zip(P.probs.tolist(), P.payoff_matrix.tolist())]
 
 
+def stack_lotteries(lotteries, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded (B, A) probabilities and (B, A, n_states) payoffs of B
+    lotteries given as ``(probs, payoffs)`` pairs.
+
+    Each pair is checked as ``Lottery`` checks it: payoffs of the right
+    shape and finite, probabilities positive and summing to 1 within 1e-12.
+    Identical payoff rows are not merged.
+    """
+    probs_list, payoffs_list = zip(*lotteries)
+    sizes = np.array([len(p) for p in probs_list])
+    if [np.shape(x) for x in payoffs_list] != [(a, n_states) for a in sizes.tolist()]:
+        raise DimensionMismatchError(
+            f"lottery payoffs must have one row of {n_states} per atom"
+        )
+    real = np.arange(sizes.max()) < sizes[:, None]
+    probs = np.zeros(real.shape)
+    payoffs = np.zeros((*real.shape, n_states))
+    probs[real] = np.concatenate(probs_list)
+    payoffs[real] = np.concatenate(payoffs_list)
+    if not np.isfinite(payoffs).all():
+        raise ValueError("act payoffs must be finite")
+    smallest = probs[real].min()
+    if not smallest > 0.0:
+        raise ValueError(f"atom probability {smallest} must be positive")
+    sums = probs.sum(axis=1)
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[worst] - 1.0) > 1e-12:
+        raise ValueError(f"atom probabilities sum to {sums[worst]}, not 1")
+    return probs, payoffs
+
+
 def mix_lotteries(lam: float, P: Lottery, Q: Lottery) -> Lottery:
     """Ex ante mixture: atom-wise union with scaled probabilities."""
     if not 0.0 <= lam <= 1.0:
@@ -195,8 +230,13 @@ class FiniteFamily:
         return len(self.members)
 
     def meu_matrix(self, payoff_matrix: np.ndarray) -> np.ndarray:
-        """(n_members, n_acts) matrix of minimum expected payoffs."""
-        dots = self._stacked @ payoff_matrix.T
+        """(n_members, n_acts) matrix of minimum expected payoffs.
+
+        ``einsum`` sums each entry over the states in one order whatever the
+        number of acts.  A BLAS product does not, so batched and single
+        values would differ in their last bits.
+        """
+        dots = np.einsum("vs,ns->vn", self._stacked, payoff_matrix)
         return np.minimum.reduceat(dots, self._offsets, axis=0)
 
 
@@ -388,10 +428,17 @@ class EvaluationResult:
     optimal_perceptions: tuple
 
 
-def _finite_scores(model: CapModel, P: Lottery) -> np.ndarray:
+def _finite_scores(model: CapModel, probs: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """(n_members, B) scores of B zero-padded lotteries on a finite family.
+
+    Atoms are summed left to right by ``add.accumulate``, so a padding atom
+    adds an exact 0 and a row scores the same in any batch.
+    """
     family = model.family
-    meu = family.meu_matrix(P.payoff_matrix) @ P.probs
-    return meu + _COST_SIGN[model.variant] * family.costs
+    n, width, n_states = payoffs.shape
+    meu = family.meu_matrix(payoffs.reshape(n * width, n_states)).reshape(len(family), n, width)
+    expected = np.add.accumulate(meu * probs, axis=2)[..., -1]
+    return expected + _COST_SIGN[model.variant] * family.costs[:, None]
 
 
 def _parametric_scores(model: CapModel, P: Lottery) -> np.ndarray:
@@ -456,7 +503,7 @@ def _solve(model: CapModel, P: Lottery):
     _check_same_states(model, P)
     sign = 1.0 if _IS_MAX[model.variant] else -1.0
     if isinstance(model.family, FiniteFamily):
-        scores = _finite_scores(model, P)
+        scores = _finite_scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
         return scores, float(sign * np.max(sign * scores)), None
     scores = _parametric_scores(model, P)
     value = float(sign * np.max(sign * scores))
@@ -488,6 +535,38 @@ def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
 def evaluate_value(model: CapModel, P: Lottery) -> float:
     """Fast path returning only the value (used by sampling-heavy callers)."""
     return _solve(model, P)[1]
+
+
+def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
+    """Values of B lotteries held as arrays: ``probs`` of shape (B, A) and
+    ``payoffs`` of shape (B, A, n_states).
+
+    Rows with fewer atoms are padded with probability 0 (and finite
+    payoffs, such as 0).  The arrays are not checked as ``Lottery`` checks
+    them; ``stack_lotteries`` builds checked ones.  On a finite family every
+    value equals ``evaluate_value`` of the row's lottery bit for bit.  A
+    parametric model scores each row as a ``Lottery`` without its padding.
+    """
+    probs = np.asarray(probs, dtype=float)
+    payoffs = np.asarray(payoffs, dtype=float)
+    if payoffs.ndim != 3 or payoffs.shape[2] != len(model.states) or probs.shape != payoffs.shape[:2]:
+        raise DimensionMismatchError(
+            f"expected probs (B, A) and payoffs (B, A, {len(model.states)}), "
+            f"got {probs.shape} and {payoffs.shape}"
+        )
+    family = model.family
+    if not isinstance(family, FiniteFamily):
+        return np.array([
+            _solve(model, Lottery(model.states, p[p > 0.0], x[p > 0.0]))[1]
+            for p, x in zip(probs, payoffs)
+        ])
+    sign = 1.0 if _IS_MAX[model.variant] else -1.0
+    # rows per kernel call, so that the vertex-by-atom products stay small
+    step = max(1, _KERNEL_ENTRIES // (len(family._stacked) * max(1, probs.shape[1])))
+    return np.concatenate([
+        sign * np.max(sign * _finite_scores(model, probs[i : i + step], payoffs[i : i + step]), axis=0)
+        for i in range(0, max(1, len(probs)), step)
+    ])
 
 
 def certainty_equivalent(model: CapModel, P: Lottery) -> float:

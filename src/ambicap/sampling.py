@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from .geometry import BeliefSet, ConvexCapacity, StateSpace, UtilityAct
+from .geometry import BeliefSet, ConvexCapacity, StateSpace, UtilityAct, _check_same_states
 from .model import CapModel, FiniteFamily, Lottery
 
 
@@ -40,6 +40,8 @@ class LotterySampler:
         self.max_support = int(max_support)
         self._probes = deque(probes)
         self._pair_probes = deque(pair_probes)
+        for P in [*self._probes, *(P for pair in self._pair_probes for P in pair)]:
+            _check_same_states(self, P)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return float(self.rng.uniform(lo, hi))
@@ -47,26 +49,50 @@ class LotterySampler:
     def payoff(self) -> float:
         return float(self.rng.uniform(self.low, self.high))
 
+    def draw_act(self) -> np.ndarray:
+        """Payoff vector of the next act, unchecked."""
+        return self.rng.uniform(self.low, self.high, len(self.states))
+
     def act(self) -> UtilityAct:
-        return UtilityAct(
-            self.states, self.rng.uniform(self.low, self.high, len(self.states))
-        )
+        return UtilityAct(self.states, self.draw_act())
 
     def constant_lottery(self) -> Lottery:
         return Lottery.constant(self.states, self.payoff())
 
-    def lottery(self) -> Lottery:
+    def draw_lottery(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(probs, payoffs)`` of the next lottery, unchecked: the next
+        probe's arrays, or a random draw."""
         if self._probes:
-            return self._probes.popleft()
+            P = self._probes.popleft()
+            return P.probs, P.payoff_matrix
         support = int(self.rng.integers(1, self.max_support + 1))
         probs = self.rng.dirichlet(np.ones(support))
-        payoffs = self.rng.uniform(self.low, self.high, (support, len(self.states)))
-        return Lottery(self.states, probs, payoffs)
+        return probs, self.rng.uniform(self.low, self.high, (support, len(self.states)))
+
+    def draw_pair(self) -> tuple[tuple, tuple]:
+        """The next pair as two ``draw_lottery`` results: a pair probe's
+        arrays, or two draws."""
+        if self._pair_probes:
+            return tuple((P.probs, P.payoff_matrix) for P in self._pair_probes.popleft())
+        return self.draw_lottery(), self.draw_lottery()
+
+    def lottery(self) -> Lottery:
+        return Lottery(self.states, *self.draw_lottery())
 
     def pair(self) -> tuple[Lottery, Lottery]:
-        if self._pair_probes:
-            return self._pair_probes.popleft()
-        return self.lottery(), self.lottery()
+        P, Q = self.draw_pair()
+        return Lottery(self.states, *P), Lottery(self.states, *Q)
+
+    def checkpoint(self):
+        """Everything later draws depend on: the generator state and the
+        probes not yet drawn."""
+        return self.rng.bit_generator.state, tuple(self._probes), tuple(self._pair_probes)
+
+    def rewind(self, mark) -> None:
+        """Go back to a ``checkpoint()``, so the draws made since repeat."""
+        state, probes, pair_probes = mark
+        self.rng.bit_generator.state = state
+        self._probes, self._pair_probes = deque(probes), deque(pair_probes)
 
 
 def random_prior_matrix(states: StateSpace, rng, n_rows: int) -> np.ndarray:

@@ -535,7 +535,9 @@ def _bind_dominates(s: Scenario, q: _Keys):
             list(f.sets if isinstance(f, FiniteFamily) else f.to_finite().sets) for f in families
         )
         sampler = LotterySampler(s.states, seed=seed)
-        return {"holds": dominates_benefit(sets1, sets2, sampler, samples)}
+        contradictions = []
+        holds = dominates_benefit(sets1, sets2, sampler, samples, contradictions)
+        return {"holds": holds, "contradictions": contradictions}
     return run, _HOLDS
 
 

@@ -7,7 +7,9 @@ from ambicap import (
     AXIOM_IDS,
     AxiomReport,
     BeliefSet,
+    Lottery,
     StateSpace,
+    UtilityAct,
     check_axiom,
     machina_5051_dual_self_property,
     necessary_axioms,
@@ -16,6 +18,8 @@ from ambicap import (
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import (
     P_5051,
+    STATES_4,
+    dual_self_model,
     model_5051,
     quarter_slice_sets,
     random_box_5051_family,
@@ -78,6 +82,64 @@ class TestNecessaryAxioms:
         with pytest.raises(ValueError):
             check_axiom(urn_model, "A9-unknown", sampler, 10)
 
+    @pytest.mark.parametrize("n", (0, -5))
+    @pytest.mark.parametrize("axiom_id", ("A1-nondegeneracy", "A2-FSD"))
+    def test_fewer_than_one_trial_rejected(self, slices_model, axiom_id, n):
+        sampler = LotterySampler(slices_model.states, seed=0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            check_axiom(slices_model, axiom_id, sampler, n)
+
+
+class TestSamplerState:
+    """After a check the sampler is where trial-by-trial drawing leaves it:
+    each expected next draw was recorded from checks that drew one trial at
+    a time."""
+
+    STATES_3 = StateSpace(["s0", "s1", "s2"])
+
+    def test_after_a_check_that_holds(self):
+        model = random_cap_model(self.STATES_3, np.random.default_rng(11), "cap")
+        sampler = LotterySampler(self.STATES_3, seed=7)
+        report = check_axiom(model, "A5-eaar", sampler, 150)
+        assert (report.holds, report.trials) == (True, 150)
+        assert sampler.uniform() == 0.5400419204973969
+
+    def test_after_a_witness_inside_a_chunk(self):
+        # trial 10 is the third of the fourth chunk (trials 8 to 15)
+        model = random_cap_model(self.STATES_3, np.random.default_rng(7), "cap")
+        sampler = LotterySampler(self.STATES_3, seed=7)
+        report = check_axiom(model, "A-imt", sampler, 150)
+        assert (report.holds, report.trials) == (False, 10)
+        assert report.counterexample["violation"] == pytest.approx(0.7697052332649434, rel=1e-12)
+        assert sampler.uniform() == 0.5903878678348518
+
+    def test_probes_must_share_the_state_space(self):
+        probe = Lottery.constant(STATES_4, 1.0)
+        with pytest.raises(ValueError, match="state spaces differ"):
+            LotterySampler(StateSpace(["a", "b", "c", "d"]), probes=[probe])
+        with pytest.raises(ValueError, match="state spaces differ"):
+            LotterySampler(StateSpace(["a", "b", "c", "d"]), pair_probes=[(probe, probe)])
+
+    def test_after_a_witness_in_a_probe(self):
+        # probe 3 violates; the fourth chunk (trials 4 to 7) also draws
+        # probes 4 and 5 and one random pair, which must all be given back
+        def constant(t):
+            return Lottery.constant(STATES_4, t)
+
+        def bet(i):
+            return Lottery.dirac(UtilityAct(STATES_4, np.eye(4)[i] * 100.0))
+
+        probes = [(constant(2 * k + 1.0), constant(2 * k + 2.0)) for k in range(3)]
+        probes += [(bet(1), bet(2))]
+        probes += [(constant(2 * k + 1.0), constant(2 * k + 2.0)) for k in range(3, 5)]
+        sampler = LotterySampler(STATES_4, seed=4, pair_probes=probes)
+        report = check_axiom(dual_self_model(), "A-eapr", sampler, 150)
+        assert (report.holds, report.trials) == (False, 4)
+        assert report.counterexample["P"] == [[1.0, [0.0, 100.0, 0.0, 0.0]]]
+        assert report.counterexample["lam"] == 0.08083602389560218
+        assert sampler.uniform() == 0.6073558319950296
+        assert sampler.pair()[0].payoff_matrix.tolist() == [[7.0] * 4]
+
 
 class TestSeparations:
     def test_stock_witnesses_violate(self):
@@ -100,6 +162,17 @@ class TestSeparations:
                 model, axiom_id, report.counterexample, tol=1e-8
             )
             assert violated
+
+    def test_recheck_rejects_malformed_witnesses(self):
+        model, axiom_id, witness = stock_separations()[-1]
+        assert axiom_id == "A-eapr"
+        for key, bad in (
+            ("lam", 1.5),
+            ("P", [[0.5, [0.0, 100.0, 0.0, 0.0]]]),
+            ("Q", [[1.0, [0.0, 0.0, 100.0]]]),
+        ):
+            with pytest.raises(ValueError):
+                recheck_witness(model, axiom_id, {**witness, key: bad})
 
     def test_witness_roundtrip_from_search(self, slices_model):
         sampler = LotterySampler(slices_model.states, seed=5)

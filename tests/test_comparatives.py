@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+import ambicap.comparatives
 from ambicap import (
     CapModel,
     ComparativeVerdict,
@@ -19,6 +20,7 @@ from ambicap import (
     shares_optimal_perception,
     shares_optimal_perception_detail,
 )
+from ambicap.model import serialize_lottery
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import (
     acts_5051,
@@ -154,6 +156,16 @@ class TestToleranceOrders:
         sampler = LotterySampler(urn.states, seed=3)
         assert more_tolerant_ambiguity(free_urn, urn, sampler, 300).holds
 
+    @pytest.mark.parametrize("n", (0, -3))
+    @pytest.mark.parametrize(
+        "order",
+        (more_tolerant_ea_randomization, more_tolerant_ambiguity, higher_filtering_incentives),
+    )
+    def test_fewer_than_one_sample_rejected(self, urn, order, n):
+        sampler = LotterySampler(urn.states, seed=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            order(urn, urn, sampler, n)
+
 
 class TestFilteringIncentives:
     def test_free_information_filters_more(self, urn, free_urn):
@@ -186,6 +198,23 @@ class TestDominatesBenefit:
         sampler = LotterySampler(urn.states, seed=8)
         assert dominates_benefit(fine, coarse, sampler, 100)
         assert not dominates_benefit(coarse, fine, sampler, 100)
+
+    def test_contradictions_reach_diagnostics_in_sample_order(self, states4, rng, monkeypatch):
+        # a value route that contradicts the structure on every sample but
+        # the first, by a gap of minus the sample's index
+        def values(model, probs, payoffs):
+            calls.append(model)
+            return np.zeros(len(probs)) if len(calls) == 1 else np.arange(len(probs), dtype=float)
+
+        calls = []
+        monkeypatch.setattr(ambicap.comparatives, "evaluate_values", values)
+        sets = random_box_5051_family(rng, n_members=3)
+        diagnostics = []
+        assert dominates_benefit(sets, sets, LotterySampler(states4, seed=2), 4, diagnostics)
+        assert len(calls) == 2
+        redraw = LotterySampler(states4, seed=2)
+        lotteries = [serialize_lottery(redraw.lottery()) for _ in range(4)]
+        assert diagnostics == [{"P": lotteries[i], "gap": -float(i)} for i in (1, 2, 3)]
 
     def test_sampled_values_respect_structural_dominance(self, urn, states4, rng):
         # the value route must agree with the structural route on every

@@ -21,8 +21,10 @@ from ambicap import (
     core_of_capacity,
     evaluate,
     evaluate_value,
+    evaluate_values,
     mix_acts,
     mix_lotteries,
+    stack_lotteries,
     support_value,
 )
 from ambicap.sampling import (
@@ -289,6 +291,72 @@ class TestParametricExactness:
             assert evaluate_value(model, P) == pytest.approx(
                 want, abs=1e-9 * max(1.0, abs(want))
             )
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_match_single_lotteries_and_an_oracle(self, variant):
+        maximize = variant in ("cap", "dual_self", "choquet")
+        cost_sign = -1.0 if maximize else 1.0  # zero-cost variants have no cost
+        rng = np.random.default_rng(VARIANTS.index(variant))
+        for _ in range(10):
+            n_states = int(rng.integers(2, 7))
+            states = StateSpace([f"s{i}" for i in range(n_states)])
+            model = random_cap_model(states, rng, variant=variant)
+            n_rows, width = int(rng.integers(1, 71)), int(rng.integers(1, 10))
+            sizes = rng.integers(1, width + 1, n_rows)
+            probs = np.zeros((n_rows, width))
+            # padding atoms get probability 0 and arbitrary finite payoffs
+            payoffs = rng.uniform(-100.0, 300.0, (n_rows, width, n_states))
+            for i, a in enumerate(sizes):
+                probs[i, :a] = rng.dirichlet(np.ones(a))
+            values = evaluate_values(model, probs, payoffs)
+            assert values.shape == (n_rows,)
+            for i, a in enumerate(sizes):
+                P = Lottery(states, probs[i, :a], payoffs[i, :a])
+                assert values[i] == evaluate_value(model, P)
+                scores = [
+                    sum(
+                        p * support_value(M, UtilityAct(states, x))
+                        for p, x in zip(P.probs, P.payoff_matrix)
+                    )
+                    + cost_sign * c
+                    for M, c in model.family.members
+                ]
+                want = max(scores) if maximize else min(scores)
+                assert abs(values[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_parametric_rows_match_single_lotteries(self):
+        model = model_5051(grid_resolution=3)
+        sampler = LotterySampler(model.states, seed=3)
+        lotteries = [sampler.lottery() for _ in range(6)]
+        probs, payoffs = stack_lotteries(
+            [(P.probs, P.payoff_matrix) for P in lotteries], len(model.states)
+        )
+        want = [evaluate_value(model, P) for P in lotteries]
+        assert evaluate_values(model, probs, payoffs).tolist() == want
+
+    def test_rejects_arrays_of_the_wrong_shape(self, states4, urn_model):
+        with pytest.raises(DimensionMismatchError):
+            evaluate_values(urn_model, np.ones((2, 1)), np.zeros((2, 1, 3)))
+        with pytest.raises(DimensionMismatchError):
+            evaluate_values(urn_model, np.ones((2, 2)), np.zeros((2, 1, 4)))
+
+    def test_stack_lotteries_checks_like_lottery(self):
+        good = (np.array([0.25, 0.75]), np.zeros((2, 3)))
+        probs, payoffs = stack_lotteries([good, (np.ones(1), np.ones((1, 3)))], 3)
+        assert probs.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+        assert payoffs[1].tolist() == [[1.0] * 3, [0.0] * 3]
+        bad = [
+            (DimensionMismatchError, (np.ones(1), np.zeros((1, 2)))),
+            (DimensionMismatchError, (np.array([0.5, 0.5]), np.zeros((1, 3)))),
+            (ValueError, (np.ones(1), np.array([[0.0, np.inf, 0.0]]))),
+            (ValueError, (np.array([1.0, 0.0]), np.zeros((2, 3)))),
+            (ValueError, (np.array([0.5, 0.4]), np.zeros((2, 3)))),
+        ]
+        for error, lottery in bad:
+            with pytest.raises(error):
+                stack_lotteries([good, lottery], 3)
 
 
 class TestChoquetVariant:

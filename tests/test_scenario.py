@@ -2,9 +2,11 @@
 
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 
+import ambicap.comparatives
 from ambicap import (
     ScenarioError,
     builtin_machina_suite,
@@ -13,6 +15,8 @@ from ambicap import (
     run_queries,
     scenario_from_dict,
 )
+from ambicap.model import serialize_lottery
+from ambicap.sampling import LotterySampler
 from ambicap.scenario import _parse_affine, _parse_number
 
 
@@ -250,6 +254,21 @@ class TestExecution:
         assert report.exit_code == 3
         assert [r.status for r in report.results] == ["error", "ok"]
         assert report.results[0].message
+
+    def test_dominates_reports_contradictions(self, tmp_path, monkeypatch):
+        # the second family's value beats the first's on every sample
+        def values(model, probs, payoffs):
+            calls.append(model)
+            return np.full(len(probs), float(len(calls) - 1))
+
+        calls = []
+        monkeypatch.setattr(ambicap.comparatives, "evaluate_values", values)
+        query = "{kind: comparatives, which: dominates_benefit, family1: m, family2: m, samples: 3, seed: 5}"
+        scenario = load_scenario(_write(tmp_path, SECOND_QUERY % query))
+        data = run_queries(scenario).results[1].data
+        sampler = LotterySampler(scenario.states, seed=5)
+        lotteries = [serialize_lottery(sampler.lottery()) for _ in range(3)]
+        assert data == {"holds": True, "contradictions": [{"P": P, "gap": -1.0} for P in lotteries]}
 
     def test_machine_report_is_deterministic(self, tmp_path):
         path = _write(tmp_path, MINIMAL)

@@ -9,6 +9,7 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 TINY_ARGS = {
+    "bench_layers.py": ["--tiny", "--repeats", "1"],
     "run_axiom_suites.py": ["--models", "1", "--trials", "5", "--variants", "choquet"],
     "run_comparatives.py": ["--samples", "5", "--pairs", "20"],
     "run_identification.py": ["--grid", "2"],
