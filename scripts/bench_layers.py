@@ -8,8 +8,14 @@ Times the ``ambicap`` that Python imports:
     finite_evaluate_value_us       one ``evaluate_value`` on a 4-state finite
                                    ``cap`` model, per call
     finite_kernel_per_lottery_us   one ``evaluate_values`` call over the same
-                                   lotteries, per lottery (null when the
-                                   package has no ``evaluate_values``)
+                                   lotteries, per lottery
+    parametric_kernel_per_lottery_us
+                                   one ``evaluate_values`` call on the grid-11
+                                   urn ``model_5051``, per lottery, for
+                                   ``cap`` and ``cautious``
+    parametric_evaluate_value_us   one ``evaluate_value`` on the grid-101 urn,
+                                   per call, for ``cap`` and ``cautious``
+    parametric_family_build_ms     one ``family_5051(101)``
     check_axiom_ms                 one 150-trial ``check_axiom`` per variant,
                                    the mean over the variant's necessary
                                    axioms (A1 aside)
@@ -31,9 +37,17 @@ from pathlib import Path
 
 import numpy as np
 
-import ambicap
-from ambicap import VARIANTS, StateSpace, check_axiom, evaluate_value, necessary_axioms
+from ambicap import (
+    VARIANTS,
+    StateSpace,
+    check_axiom,
+    evaluate_value,
+    evaluate_values,
+    necessary_axioms,
+    stack_lotteries,
+)
 from ambicap.sampling import LotterySampler, random_cap_model
+from ambicap.stock import family_5051, model_5051
 
 
 def best_of(repeats: int, fn) -> float:
@@ -51,20 +65,37 @@ def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
     model = random_cap_model(states, np.random.default_rng(5), "cap")
     sampler = LotterySampler(states, seed=1)
     lotteries = [sampler.lottery() for _ in range(n_lotteries)]
+    probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], len(states))
     single = best_of(repeats, lambda: [evaluate_value(model, P) for P in lotteries])
-    out = {
+    batched = best_of(repeats, lambda: evaluate_values(model, probs, payoffs))
+    return {
         "members": len(model.family),
         "lotteries": n_lotteries,
         "finite_evaluate_value_us": single / n_lotteries * 1e6,
-        "finite_kernel_per_lottery_us": None,
+        "finite_kernel_per_lottery_us": batched / n_lotteries * 1e6,
     }
-    if hasattr(ambicap, "evaluate_values"):
-        probs, payoffs = ambicap.stack_lotteries(
-            [(P.probs, P.payoff_matrix) for P in lotteries], len(states)
+
+
+def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
+    kernel, single = {}, {}
+    for variant in ("cap", "cautious"):
+        model = model_5051(11, variant)
+        sampler = LotterySampler(model.states, seed=2)
+        lotteries = [sampler.lottery() for _ in range(n_lotteries)]
+        probs, payoffs = stack_lotteries(
+            [(P.probs, P.payoff_matrix) for P in lotteries], len(model.states)
         )
-        batched = best_of(repeats, lambda: ambicap.evaluate_values(model, probs, payoffs))
-        out["finite_kernel_per_lottery_us"] = batched / n_lotteries * 1e6
-    return out
+        batched = best_of(repeats, lambda: evaluate_values(model, probs, payoffs))
+        kernel[variant] = batched / n_lotteries * 1e6
+        fine = model_5051(101, variant)
+        lotteries = lotteries[: max(1, n_lotteries // 10)]
+        calls = best_of(repeats, lambda: [evaluate_value(fine, P) for P in lotteries])
+        single[variant] = calls / len(lotteries) * 1e6
+    return {
+        "parametric_kernel_per_lottery_us": kernel,
+        "parametric_evaluate_value_us": single,
+        "parametric_family_build_ms": best_of(repeats, lambda: family_5051(101)) * 1e3,
+    }
 
 
 def axiom_ops(repeats: int, trials: int) -> dict:
@@ -129,6 +160,7 @@ def main() -> int:
     run = {
         "repeats": args.repeats,
         **finite_evaluation(args.repeats, n_lotteries),
+        **parametric_evaluation(args.repeats, n_lotteries // 10),
         "check_axiom_ms": axiom_ops(args.repeats, trials),
         "check_axiom_trials": trials,
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),

@@ -11,15 +11,16 @@ functional forms:
     choquet        like cap, but every member must be the core of a convex
                    capacity, so its MEU is that capacity's Choquet integral
 
-Every value is exact.  A finite family is enumerated by one kernel,
-``evaluate_values``, which scores a batch of zero-padded lotteries; a
-single ``evaluate`` or ``evaluate_value`` is its batch of one, so a value
-does not depend on the batch it is scored in.  On a parametric
-family each variant's score is concave and piecewise linear in theta; the
-grid (which holds every box corner) is scored first, the min variants take
-the grid minimum, which a concave score attains at a corner, and the max
-variants also solve the score's epigraph LP over the whole box with the
-package's simplex kernel.
+Every value is exact.  A family is a list of candidate belief sets with
+costs: a finite family's members, or a parametric family's grid points,
+which hold every box corner.  One kernel, ``evaluate_values``, scores every
+candidate on a batch of zero-padded lotteries; a single ``evaluate`` or
+``evaluate_value`` is its batch of one, so a candidate's score does not
+depend on the batch it is scored in.  On a parametric family each
+variant's score is concave and piecewise linear in theta, so the min
+variants take the grid minimum, which a concave score attains at a corner,
+and the max variants then solve the score's epigraph LP over the whole box
+with the package's simplex kernel, one lottery at a time.
 
 Values are utils throughout; the certainty equivalent of a lottery equals
 its value.
@@ -27,7 +28,6 @@ its value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -188,7 +188,25 @@ def mix_acts(lam: float, f: UtilityAct, g: UtilityAct) -> UtilityAct:
     return UtilityAct(f.states, lam * f.payoffs + (1.0 - lam) * g.payoffs)
 
 
-class FiniteFamily:
+class _Candidates:
+    """Candidate belief sets with costs: candidate i costs ``costs[i]``, and
+    its vertices are the rows of ``_stacked`` from ``_offsets[i]`` up to the
+    next offset."""
+
+    __slots__ = ()
+
+    def meu_matrix(self, payoff_matrix: np.ndarray) -> np.ndarray:
+        """(n_candidates, n_acts) matrix of minimum expected payoffs.
+
+        ``einsum`` sums each entry over the states in one order whatever the
+        number of acts.  A BLAS product does not, so batched and single
+        values would differ in their last bits.
+        """
+        dots = np.einsum("vs,ns->vn", self._stacked, payoff_matrix)
+        return np.minimum.reduceat(dots, self._offsets, axis=0)
+
+
+class FiniteFamily(_Candidates):
     """Finite list of (BeliefSet, cost) pairs with a grounded cost."""
 
     __slots__ = ("states", "members", "costs", "_stacked", "_offsets")
@@ -229,24 +247,15 @@ class FiniteFamily:
     def __len__(self):
         return len(self.members)
 
-    def meu_matrix(self, payoff_matrix: np.ndarray) -> np.ndarray:
-        """(n_members, n_acts) matrix of minimum expected payoffs.
 
-        ``einsum`` sums each entry over the states in one order whatever the
-        number of acts.  A BLAS product does not, so batched and single
-        values would differ in their last bits.
-        """
-        dots = np.einsum("vs,ns->vn", self._stacked, payoff_matrix)
-        return np.minimum.reduceat(dots, self._offsets, axis=0)
-
-
-class ParametricFamily:
+class ParametricFamily(_Candidates):
     """Affine vertex template over theta in [0,1]^k with an affine cost.
 
     Member(theta) has vertex matrix ``vertex_base + sum_i theta_i *
     vertex_coefs[i]``; cost(theta) = ``cost_base + cost_coefs . theta``.
     Vertices must be valid priors at every grid point, which (entries being
-    affine in theta) makes them valid on the whole box.
+    affine in theta) makes them valid on the whole box.  The candidates are
+    the members at the grid points ``thetas``, in lexicographic order.
     """
 
     __slots__ = (
@@ -258,8 +267,9 @@ class ParametricFamily:
         "grid_resolution",
         "param_names",
         "thetas",
-        "grid_costs",
-        "grid_vertices",
+        "costs",
+        "_stacked",
+        "_offsets",
     )
 
     def __init__(
@@ -294,10 +304,9 @@ class ParametricFamily:
         if len(param_names) != k or len(set(param_names)) != k:
             raise ValueError("param_names must be distinct, one per parameter")
 
-        axis = np.linspace(0.0, 1.0, grid_resolution) if grid_resolution > 1 else np.array([0.0])
-        grid = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-        corners = np.array(list(itertools.product([0.0, 1.0], repeat=k)))
-        thetas = np.unique(np.vstack([grid, corners]), axis=0)
+        # both ends are on every axis, so the grid holds the 2^k corners
+        axis = np.linspace(0.0, 1.0, max(grid_resolution, 2))
+        thetas = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
 
         verts = base[None] + np.einsum("ck,kvn->cvn", thetas, coefs)
         sums = verts.sum(axis=2)
@@ -322,8 +331,9 @@ class ParametricFamily:
         object.__setattr__(self, "grid_resolution", int(grid_resolution))
         object.__setattr__(self, "param_names", param_names)
         object.__setattr__(self, "thetas", _readonly(thetas))
-        object.__setattr__(self, "grid_costs", _readonly(np.maximum(costs, 0.0)))
-        object.__setattr__(self, "grid_vertices", _readonly(verts))
+        object.__setattr__(self, "costs", _readonly(np.maximum(costs, 0.0)))
+        object.__setattr__(self, "_stacked", _readonly(verts.reshape(-1, len(states))))
+        object.__setattr__(self, "_offsets", np.arange(len(thetas)) * base.shape[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("ParametricFamily is immutable")
@@ -344,7 +354,7 @@ class ParametricFamily:
         return max(0.0, self.cost_base + float(self.cost_coefs @ theta))
 
     def to_finite(self) -> FiniteFamily:
-        """Sample the family onto its grid (plus box corners)."""
+        """Sample the family onto its grid, which holds the box corners."""
         return FiniteFamily(
             [(self.member_at(th), self.cost_at(th)) for th in self.thetas]
         )
@@ -372,12 +382,7 @@ class CapModel:
         if family.states != states:
             raise DimensionMismatchError("family defined over a different state space")
         if variant in ("dual_self", "double_maxmin"):
-            costs = (
-                family.grid_costs
-                if isinstance(family, ParametricFamily)
-                else family.costs
-            )
-            if np.max(costs) > GROUNDED_TOL:
+            if np.max(family.costs) > GROUNDED_TOL:
                 raise ValueError(f"{variant} requires all costs to be 0")
         if variant == "choquet":
             if not isinstance(family, FiniteFamily):
@@ -428,28 +433,22 @@ class EvaluationResult:
     optimal_perceptions: tuple
 
 
-def _finite_scores(model: CapModel, probs: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """(n_members, B) scores of B zero-padded lotteries on a finite family.
+def _scores(model: CapModel, probs: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """(n_candidates, B) scores of B zero-padded lotteries.
 
     Atoms are summed left to right by ``add.accumulate``, so a padding atom
     adds an exact 0 and a row scores the same in any batch.
     """
     family = model.family
     n, width, n_states = payoffs.shape
-    meu = family.meu_matrix(payoffs.reshape(n * width, n_states)).reshape(len(family), n, width)
+    meu = family.meu_matrix(payoffs.reshape(n * width, n_states)).reshape(len(family.costs), n, width)
     expected = np.add.accumulate(meu * probs, axis=2)[..., -1]
     return expected + _COST_SIGN[model.variant] * family.costs[:, None]
 
 
-def _parametric_scores(model: CapModel, P: Lottery) -> np.ndarray:
-    family = model.family
-    dots = np.einsum("cvn,mn->cvm", family.grid_vertices, P.payoff_matrix)
-    meu = dots.min(axis=1) @ P.probs
-    return meu + _COST_SIGN[model.variant] * family.grid_costs
-
-
-def _parametric_lp_max(model: CapModel, P: Lottery):
-    """(theta, score) maximizing a max variant's score over the whole box.
+def _parametric_lp_max(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
+    """(theta, score) maximizing a max variant's score over the whole box
+    for the lottery with atoms ``probs`` and payoff rows ``payoffs``.
 
     The score sum_m p_m min_v (a_vm + b_vm . theta) + cost_sign * cost(theta)
     is concave and piecewise linear, so its epigraph form
@@ -463,7 +462,6 @@ def _parametric_lp_max(model: CapModel, P: Lottery):
     instead of read off the tableau.
     """
     family = model.family
-    probs, payoffs = P.probs, P.payoff_matrix
     k, n_atoms = family.n_params, probs.size
     A0 = family.vertex_base @ payoffs.T
     AC = np.einsum("kvn,mn->kvm", family.vertex_coefs, payoffs)
@@ -490,29 +488,29 @@ def _parametric_lp_max(model: CapModel, P: Lottery):
     return theta, float(probs @ vals.min(axis=0)) + _COST_SIGN[model.variant] * cost
 
 
+def _with_lp(value: float, lp) -> float:
+    """The LP's score when it beats the best candidate's ``value`` by more
+    than eps_opt, else ``value``."""
+    return lp[1] if lp[1] > value + 1e-9 * max(1.0, abs(value)) else value
+
+
 def _solve(model: CapModel, P: Lottery):
     """(scores, value, lp) shared by ``evaluate`` and ``evaluate_value``.
 
-    ``scores`` are the candidates' scores (family members, or grid points
-    plus box corners).  For the max variants on a parametric family, ``lp``
-    is the (theta, score) optimum of the exact LP, and it sets the value
-    only when it beats the best grid score by more than eps_opt.  The min
-    variants need no LP: a concave score attains its minimum over the box
-    at a corner, and the grid holds every corner.
+    ``scores`` are the candidates' scores.  For the max variants on a
+    parametric family, ``lp`` is the (theta, score) optimum of the exact LP,
+    and ``_with_lp`` decides the value.  The min variants need no LP: a
+    concave score attains its minimum over the box at a corner, and the
+    grid holds every corner.
     """
     _check_same_states(model, P)
+    scores = _scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
     sign = 1.0 if _IS_MAX[model.variant] else -1.0
-    if isinstance(model.family, FiniteFamily):
-        scores = _finite_scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
-        return scores, float(sign * np.max(sign * scores)), None
-    scores = _parametric_scores(model, P)
     value = float(sign * np.max(sign * scores))
-    if sign < 0.0:
+    if sign < 0.0 or not model.is_parametric:
         return scores, value, None
-    lp = _parametric_lp_max(model, P)
-    if lp[1] > value + 1e-9 * max(1.0, abs(value)):
-        value = lp[1]
-    return scores, value, lp
+    lp = _parametric_lp_max(model, P.probs, P.payoff_matrix)
+    return scores, _with_lp(value, lp), lp
 
 
 def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
@@ -543,9 +541,11 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
 
     Rows with fewer atoms are padded with probability 0 (and finite
     payoffs, such as 0).  The arrays are not checked as ``Lottery`` checks
-    them; ``stack_lotteries`` builds checked ones.  On a finite family every
-    value equals ``evaluate_value`` of the row's lottery bit for bit.  A
-    parametric model scores each row as a ``Lottery`` without its padding.
+    them; ``stack_lotteries`` builds checked ones.  Every row's candidates
+    are scored by one kernel, in chunks; the max variants on a parametric
+    family then solve the LP on each row's atoms of positive probability.
+    Every value equals ``evaluate_value`` of the row's lottery bit for bit
+    when the row has no two identical atoms, which ``Lottery`` would merge.
     """
     probs = np.asarray(probs, dtype=float)
     payoffs = np.asarray(payoffs, dtype=float)
@@ -554,19 +554,17 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
             f"expected probs (B, A) and payoffs (B, A, {len(model.states)}), "
             f"got {probs.shape} and {payoffs.shape}"
         )
-    family = model.family
-    if not isinstance(family, FiniteFamily):
-        return np.array([
-            _solve(model, Lottery(model.states, p[p > 0.0], x[p > 0.0]))[1]
-            for p, x in zip(probs, payoffs)
-        ])
     sign = 1.0 if _IS_MAX[model.variant] else -1.0
     # rows per kernel call, so that the vertex-by-atom products stay small
-    step = max(1, _KERNEL_ENTRIES // (len(family._stacked) * max(1, probs.shape[1])))
-    return np.concatenate([
-        sign * np.max(sign * _finite_scores(model, probs[i : i + step], payoffs[i : i + step]), axis=0)
+    step = max(1, _KERNEL_ENTRIES // (len(model.family._stacked) * max(1, probs.shape[1])))
+    values = np.concatenate([
+        sign * np.max(sign * _scores(model, probs[i : i + step], payoffs[i : i + step]), axis=0)
         for i in range(0, max(1, len(probs)), step)
     ])
+    if sign > 0.0 and model.is_parametric:
+        for i, (p, x) in enumerate(zip(probs, payoffs)):
+            values[i] = _with_lp(values[i], _parametric_lp_max(model, p[p > 0.0], x[p > 0.0]))
+    return values
 
 
 def certainty_equivalent(model: CapModel, P: Lottery) -> float:

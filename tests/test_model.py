@@ -336,6 +336,34 @@ class TestBatchedKernel:
         want = [evaluate_value(model, P) for P in lotteries]
         assert evaluate_values(model, probs, payoffs).tolist() == want
 
+        # zero-padded batches on the urn at three grids, and on the ridge
+        # family, whose first row is its act: only the LP reaches 1/3 there
+        ridge, ridge_lottery = _ridge_model(11)
+        models = [model_5051(g, v) for g in (1, 3, 11) for v in ("cap", "cautious")]
+        models += [CapModel(ridge.states, ridge.family, v) for v in ("cap", "dual_self", "double_maxmin")]
+        rng = np.random.default_rng(29)
+        for model in models:
+            n_states = len(model.states)
+            for _ in range(3):
+                n_rows, width = int(rng.integers(1, 71)), int(rng.integers(1, 10))
+                sizes = rng.integers(1, width + 1, n_rows)
+                probs = np.zeros((n_rows, width))
+                payoffs = rng.uniform(-100.0, 300.0, (n_rows, width, n_states))
+                for i, a in enumerate(sizes):
+                    probs[i, :a] = rng.dirichlet(np.ones(a))
+                if model.family is ridge.family:
+                    sizes[0], probs[0] = 1, np.eye(width)[0]
+                    payoffs[0, 0] = ridge_lottery.payoff_matrix[0]
+                values = evaluate_values(model, probs, payoffs)
+                for i, a in enumerate(sizes):
+                    P = Lottery(model.states, probs[i, :a], payoffs[i, :a])
+                    assert values[i] == evaluate_value(model, P)
+                    if model.variant == "cap":
+                        want = _lp_value_oracle(model.family, P)
+                        assert abs(values[i] - want) <= 1e-9 * max(1.0, abs(want))
+                if model.family is ridge.family and model.variant != "double_maxmin":
+                    assert values[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
     def test_rejects_arrays_of_the_wrong_shape(self, states4, urn_model):
         with pytest.raises(DimensionMismatchError):
             evaluate_values(urn_model, np.ones((2, 1)), np.zeros((2, 1, 3)))
@@ -494,6 +522,14 @@ class TestConstructionRules:
         Q = Lottery.constant(states4, 2.0)
         mixed = mix_lotteries(5e-324, P, Q)
         assert mixed.payoff_matrix.tolist() == [[1.0] * 4, [2.0] * 4]
+
+    def test_grid_holds_the_corners_in_lexicographic_order(self):
+        assert family_5051(1).thetas.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        assert family_5051(3).thetas.tolist() == [
+            [0.0, 0.0], [0.0, 0.5], [0.0, 1.0],
+            [0.5, 0.0], [0.5, 0.5], [0.5, 1.0],
+            [1.0, 0.0], [1.0, 0.5], [1.0, 1.0],
+        ]
 
     def test_family_requires_grounded_costs(self, states4):
         M = BeliefSet(states4, np.eye(4))
