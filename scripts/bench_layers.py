@@ -21,6 +21,12 @@ Times the ``ambicap`` that Python imports:
                                    axioms (A1 aside)
     c4_body_s                      the body of the acceptance test
                                    ``test_c4_axiom_necessity_suite``
+    order_ms                       one reflexive call of a tolerance order on
+                                   the grid-9 urn ``model_5051``: the
+                                   ``urn_parametric`` sizes (24 ambiguity and
+                                   16 filtering samples) and the three
+                                   500-sample orders of the acceptance test
+                                   ``test_c7_comparatives_coherence``
 
 The timings go to ``runs[NAME]`` of the JSON file at ``--out``, which is
 created or updated, next to a ``machine`` block.  ``--out -`` prints the
@@ -43,6 +49,9 @@ from ambicap import (
     check_axiom,
     evaluate_value,
     evaluate_values,
+    higher_filtering_incentives,
+    more_tolerant_ambiguity,
+    more_tolerant_ea_randomization,
     necessary_axioms,
     stack_lotteries,
 )
@@ -136,6 +145,26 @@ def c4_body(n_models: int, trials: int) -> None:
         check_axiom(model, "A-imt", LotterySampler(model.states, seed=i), trials)
 
 
+def order_ops(repeats: int, grid: int, op_samples: tuple, c7_samples: int) -> dict:
+    """ms per reflexive order call on ``model_5051(grid)``, seeded as the
+    acceptance test c7 seeds its orders."""
+    model = model_5051(grid)
+
+    def ms(order, seed, n):
+        return best_of(repeats, lambda: order(model, model, LotterySampler(model.states, seed=seed), n)) * 1e3
+
+    return {
+        "grid": grid,
+        "op_samples": list(op_samples),
+        "op_ambiguity": ms(more_tolerant_ambiguity, 1, op_samples[0]),
+        "op_filtering": ms(higher_filtering_incentives, 2, op_samples[1]),
+        "c7_samples": c7_samples,
+        "c7_ea_randomization": ms(more_tolerant_ea_randomization, 0, c7_samples),
+        "c7_ambiguity": ms(more_tolerant_ambiguity, 1, c7_samples),
+        "c7_filtering": ms(higher_filtering_incentives, 2, c7_samples),
+    }
+
+
 def machine() -> dict:
     return {
         "platform": platform.platform(),
@@ -157,6 +186,7 @@ def main() -> int:
         parser.error("--repeats must be at least 1")
 
     n_lotteries, trials, c4_models, c4_trials = (20, 5, 1, 5) if args.tiny else (2000, 150, 20, 1000)
+    order_grid, order_samples, c7_samples = (5, (4, 4), 5) if args.tiny else (9, (24, 16), 500)
     run = {
         "repeats": args.repeats,
         **finite_evaluation(args.repeats, n_lotteries),
@@ -166,6 +196,7 @@ def main() -> int:
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
         "c4_models": c4_models,
         "c4_trials": c4_trials,
+        "order_ms": order_ops(args.repeats, order_grid, order_samples, c7_samples),
     }
     path = None if args.out == "-" else Path(args.out)
     doc = json.loads(path.read_text()) if path is not None and path.exists() else {"runs": {}}

@@ -16,6 +16,8 @@ trial is the witness.  The chunk that holds it is drawn again from its
 start up to the witness, so the sampler ends where trial-by-trial drawing
 would leave it.  Chunks grow from one trial because every trial scored
 past the witness is wasted, and on a parametric model each costs an LP.
+One driver, ``_first_violation``, runs these trials and the samples of the
+tolerance orders in ``comparatives``.
 """
 
 from __future__ import annotations
@@ -313,6 +315,28 @@ _AXIOM_TABLE = {
 }
 
 
+def _first_violation(model: CapModel, sampler, n: int, draw, scan):
+    """(trials, witness) of the first of n trials that ``scan(model, chunk)``
+    flags, or (n, None); ``scan`` also returns arrays whose entries at the
+    witness join the ingredients that ``draw(model, sampler)`` drew."""
+    _check_same_states(model, sampler)
+    done, size = 0, 1
+    while done < n:
+        mark = sampler.checkpoint()
+        rows = [draw(model, sampler) for _ in range(min(size, n - done))]
+        flags, values = scan(model, _stack(model, rows))
+        if flags.any():
+            w = int(np.argmax(flags))
+            if w + 1 < len(rows):
+                sampler.rewind(mark)
+                for _ in range(w + 1):
+                    draw(model, sampler)
+            return done + w + 1, _serialize(model, rows[w]) | {k: float(v[w]) for k, v in values.items()}
+        done += len(rows)
+        size = min(2 * size, _MAX_CHUNK)
+    return n, None
+
+
 def _check_nondegeneracy(model) -> AxiomReport:
     """Existence of a strict ranking; completeness, transitivity, and
     continuity hold identically for any real-valued evaluator.
@@ -340,26 +364,14 @@ def check_axiom(model: CapModel, axiom_id: str, sampler, n: int = 1000) -> Axiom
         return _check_nondegeneracy(model)
     if axiom_id not in _AXIOM_TABLE:
         raise ValueError(f"unknown axiom id {axiom_id!r}; expected one of {AXIOM_IDS}")
-    _check_same_states(model, sampler)
     draw, violations = _AXIOM_TABLE[axiom_id]
-    done, size = 0, 1
-    while done < n:
-        mark = sampler.checkpoint()
-        rows = [draw(model, sampler) for _ in range(min(size, n - done))]
-        v = violations(model, _stack(model, rows))
-        bad = np.flatnonzero(v > TRIAL_TOL)
-        if bad.size:
-            w = int(bad[0])
-            if w + 1 < len(rows):
-                sampler.rewind(mark)
-                for _ in range(w + 1):
-                    draw(model, sampler)
-            witness = _serialize(model, rows[w])
-            witness["violation"] = float(v[w])
-            return AxiomReport(axiom_id, False, witness, done + w + 1)
-        done += len(rows)
-        size = min(2 * size, _MAX_CHUNK)
-    return AxiomReport(axiom_id, True, None, n)
+
+    def scan(model, chunk):
+        v = violations(model, chunk)
+        return v > TRIAL_TOL, {"violation": v}
+
+    trials, witness = _first_violation(model, sampler, n, draw, scan)
+    return AxiomReport(axiom_id, witness is None, witness, trials)
 
 
 def recheck_witness(

@@ -4,6 +4,11 @@ tolerance of ambiguity, and filtering incentives.
 Definitions quantify over all lotteries; they are checked on seeded sample
 streams, so a holds-verdict means "no counterexample found in n samples"
 while a fails-verdict carries a re-verifiable witness.
+
+The ambiguity and filtering orders score samples in chunks of 1 to 64 with
+the axiom checks' driver: the same seed gives the same witness as one sample
+at a time, and the sampler is wound back to the witness.  The ea order goes
+pair by pair, because its cross-check logs every pair it scores.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import is_subset
+from .axioms import _constant, _first_violation, _mix, _values
+from .geometry import _check_same_states, is_subset
 from .model import (
     CapModel,
     FiniteFamily,
@@ -47,6 +53,7 @@ def _require_cap(*models):
     for m in models:
         if m.variant != "cap":
             raise ValueError(f"comparative defined for cap models, got {m.variant!r}")
+        _check_same_states(models[0], m)
 
 
 def _require_samples(n: int):
@@ -130,17 +137,18 @@ def more_tolerant_ambiguity(
     """model1 values every sampled lottery at least as highly as model2."""
     _require_cap(model1, model2)
     _require_samples(n)
-    for i in range(n):
-        P = sampler.lottery()
-        v1 = evaluate_value(model1, P)
-        v2 = evaluate_value(model2, P)
-        if v1 < v2 - SHARES_TOL:
-            return ComparativeVerdict(
-                False,
-                {"P": serialize_lottery(P), "value1": v1, "value2": v2},
-                i + 1,
-            )
-    return ComparativeVerdict(True, None, n)
+
+    def scan(model, c):
+        (v1,), (v2,) = _values(model1, c["P"]), _values(model2, c["P"])
+        return v1 < v2 - SHARES_TOL, {"value1": v1, "value2": v2}
+
+    used, witness = _first_violation(model1, sampler, n, lambda m, s: {"P": s.draw_lottery()}, scan)
+    return ComparativeVerdict(witness is None, witness, used)
+
+
+def _draw_filtering(model, sampler):
+    lam, (P, Q) = sampler.uniform(), sampler.draw_pair()
+    return {"lam": lam, "P": P, "Q": Q, "t": sampler.payoff()}
 
 
 def higher_filtering_incentives(
@@ -150,29 +158,18 @@ def higher_filtering_incentives(
     replacement inside a mixture, model1 does too."""
     _require_cap(model1, model2)
     _require_samples(n)
-    for i in range(n):
-        lam = sampler.uniform()
-        P, Q = sampler.pair()
-        t = sampler.payoff()
-        with_P = mix_lotteries(lam, P, Q)
-        with_t = mix_lotteries(lam, Lottery.constant(model1.states, t), Q)
-        d2 = evaluate_value(model2, with_P) - evaluate_value(model2, with_t)
-        if d2 >= 0.0:
-            d1 = evaluate_value(model1, with_P) - evaluate_value(model1, with_t)
-            if d1 < -SHARES_TOL:
-                return ComparativeVerdict(
-                    False,
-                    {
-                        "lam": lam,
-                        "P": serialize_lottery(P),
-                        "Q": serialize_lottery(Q),
-                        "t": t,
-                        "d1": d1,
-                        "d2": d2,
-                    },
-                    i + 1,
-                )
-    return ComparativeVerdict(True, None, n)
+
+    def scan(model, c):
+        with_P = _mix(c["lam"], c["P"], c["Q"])
+        with_t = _mix(c["lam"], _constant(c["t"], len(model.states)), c["Q"])
+        d2 = np.subtract(*_values(model2, with_P, with_t))
+        # model1 scores only rows where model2 weakly prefers P: a parametric row costs an LP
+        d1, kept = np.full_like(d2, np.nan), d2 >= 0.0
+        d1[kept] = np.subtract(*_values(model1, *((p[kept], x[kept]) for p, x in (with_P, with_t))))
+        return kept & (d1 < -SHARES_TOL), {"d1": d1, "d2": d2}
+
+    used, witness = _first_violation(model1, sampler, n, _draw_filtering, scan)
+    return ComparativeVerdict(witness is None, witness, used)
 
 
 def dominates_benefit(

@@ -16,7 +16,6 @@ lower bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +180,10 @@ def _menu_lp(h: np.ndarray, Hmat: np.ndarray, costs: np.ndarray, max_pivots: int
 
 def _candidate_rows(family: ParametricFamily, thetas, payoffs: np.ndarray):
     """(MEU of every atom, cost) for the members at the given thetas."""
-    meu = [(family.vertex_matrix_at(t) @ payoffs.T).min(axis=0) for t in thetas]
-    return np.vstack(meu), np.array([family.cost_at(t) for t in thetas])
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, family.n_params)
+    verts = family.vertex_base[None] + np.einsum("ck,kvn->cvn", thetas, family.vertex_coefs)
+    costs = np.maximum(0.0, family.cost_base + thetas @ family.cost_coefs)
+    return (verts @ payoffs.T).min(axis=1), costs
 
 
 def estimate_cost_star(
@@ -202,7 +203,8 @@ def estimate_cost_star(
     if isinstance(family, FiniteFamily):
         Hmat, costs = family.meu_matrix(payoffs), family.costs
     else:
-        corners = list(itertools.product((0.0, 1.0), repeat=family.n_params))
+        # in lexicographic order, on which the cost LP's first cheapest row depends
+        corners = np.stack(np.meshgrid(*[[0.0, 1.0]] * family.n_params, indexing="ij"), axis=-1)
         Hmat, costs = _candidate_rows(family, corners, payoffs)
 
     while True:

@@ -591,7 +591,7 @@ def load_scenario(path, *, grid_resolution=None) -> Scenario:
     if not path.exists():
         raise ScenarioError(str(path), "file does not exist")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioError(str(path), f"parse error: {exc}") from exc
     return scenario_from_dict(raw, grid_resolution=grid_resolution, name_hint=path.stem)

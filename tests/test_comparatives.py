@@ -9,6 +9,7 @@ import ambicap.comparatives
 from ambicap import (
     CapModel,
     ComparativeVerdict,
+    DimensionMismatchError,
     Lottery,
     Prior,
     StateSpace,
@@ -20,7 +21,8 @@ from ambicap import (
     shares_optimal_perception,
     shares_optimal_perception_detail,
 )
-from ambicap.model import serialize_lottery
+from ambicap.comparatives import SHARES_TOL
+from ambicap.model import mix_lotteries, serialize_lottery
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import (
     acts_5051,
@@ -166,6 +168,17 @@ class TestToleranceOrders:
         with pytest.raises(ValueError, match="at least one sample"):
             order(urn, urn, sampler, n)
 
+    @pytest.mark.parametrize(
+        "order",
+        (more_tolerant_ea_randomization, more_tolerant_ambiguity, higher_filtering_incentives),
+    )
+    def test_models_over_other_states_rejected(self, urn, order):
+        other = StateSpace(["w", "x", "y", "z"])
+        stranger = random_cap_model(other, np.random.default_rng(0))
+        for model1, model2, states in ((urn, stranger, urn.states), (stranger, urn, other)):
+            with pytest.raises(DimensionMismatchError):
+                order(model1, model2, LotterySampler(states, seed=0), 5)
+
 
 class TestFilteringIncentives:
     def test_free_information_filters_more(self, urn, free_urn):
@@ -176,6 +189,88 @@ class TestFilteringIncentives:
     def test_reflexive(self, urn):
         sampler = LotterySampler(urn.states, seed=5)
         assert higher_filtering_incentives(urn, urn, sampler, 200).holds
+
+    def test_failing_verdict_reverifies_by_direct_evaluation(self, urn, center_eu):
+        # EU keeps every risky ingredient it weakly prefers; the costly urn
+        # sometimes swaps it for a constant
+        sampler = LotterySampler(urn.states, seed=0)
+        verdict = higher_filtering_incentives(urn, center_eu, sampler, 300)
+        assert not verdict.holds
+        cx = verdict.counterexample
+        assert set(cx) == {"lam", "P", "Q", "t", "d1", "d2"}
+        P, Q = (Lottery(urn.states, *zip(*cx[key])) for key in ("P", "Q"))
+        with_P = mix_lotteries(cx["lam"], P, Q)
+        with_t = mix_lotteries(cx["lam"], Lottery.constant(urn.states, cx["t"]), Q)
+        d1 = evaluate_value(urn, with_P) - evaluate_value(urn, with_t)
+        d2 = evaluate_value(center_eu, with_P) - evaluate_value(center_eu, with_t)
+        assert (d1, d2) == (cx["d1"], cx["d2"])
+        assert d2 >= 0.0 and d1 < -SHARES_TOL
+
+
+# The per-sample loops the two chunked orders replaced, kept as the reference
+# they must reproduce: same verdicts, same witnesses, same sampler state.
+
+
+def _reference_ambiguity(model1, model2, sampler, n):
+    for i in range(n):
+        P = sampler.lottery()
+        v1 = evaluate_value(model1, P)
+        v2 = evaluate_value(model2, P)
+        if v1 < v2 - SHARES_TOL:
+            return ComparativeVerdict(
+                False, {"P": serialize_lottery(P), "value1": v1, "value2": v2}, i + 1
+            )
+    return ComparativeVerdict(True, None, n)
+
+
+def _reference_filtering(model1, model2, sampler, n):
+    for i in range(n):
+        lam = sampler.uniform()
+        P, Q = sampler.pair()
+        t = sampler.payoff()
+        with_P = mix_lotteries(lam, P, Q)
+        with_t = mix_lotteries(lam, Lottery.constant(model1.states, t), Q)
+        d2 = evaluate_value(model2, with_P) - evaluate_value(model2, with_t)
+        if d2 >= 0.0:
+            d1 = evaluate_value(model1, with_P) - evaluate_value(model1, with_t)
+            if d1 < -SHARES_TOL:
+                cx = {"lam": lam, "P": serialize_lottery(P), "Q": serialize_lottery(Q), "t": t}
+                return ComparativeVerdict(False, {**cx, "d1": d1, "d2": d2}, i + 1)
+    return ComparativeVerdict(True, None, n)
+
+
+class TestOrdersMatchPerSampleLoops:
+    @staticmethod
+    def _pairs():
+        pairs = []
+        for seed in range(12):
+            rng = np.random.default_rng(300 + seed)
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            pairs.append((random_cap_model(states, rng), random_cap_model(states, rng)))
+        urn = model_5051(grid_resolution=5)
+        p = 50.0 / 101.0
+        eu = eu_model(urn.states, Prior(urn.states, (p / 2, p / 2, (1 - p) / 2, (1 - p) / 2)))
+        return pairs + [(urn, urn), (urn, eu), (eu, urn)]
+
+    @pytest.mark.parametrize(
+        "order, reference",
+        (
+            (more_tolerant_ambiguity, _reference_ambiguity),
+            (higher_filtering_incentives, _reference_filtering),
+        ),
+    )
+    def test_same_verdicts_and_next_draw(self, order, reference):
+        n, chunk_ends = 60, {1, 3, 7, 15, 31, 60}  # chunks of 1, 2, 4, 8, 16, 29
+        mid_chunk = 0
+        for model1, model2 in self._pairs():
+            for seed in range(2):
+                chunked = LotterySampler(model1.states, seed=seed)
+                looped = LotterySampler(model1.states, seed=seed)
+                verdict = order(model1, model2, chunked, n)
+                assert verdict == reference(model1, model2, looped, n)
+                assert chunked.uniform() == looped.uniform()
+                mid_chunk += not verdict.holds and verdict.samples_used not in chunk_ends
+        assert mid_chunk >= 3
 
 
 class TestDominatesBenefit:

@@ -114,6 +114,16 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="parse error"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("path", bundled_scenario_paths(), ids=lambda p: p.stem)
+    def test_loader_in_use_parses_like_safe_load(self, path, monkeypatch):
+        # libyaml's CSafeLoader when PyYAML has it, else SafeLoader
+        loaders, load = [], yaml.load
+        monkeypatch.setattr(yaml, "load", lambda text, Loader: loaders.append(Loader) or load(text, Loader))
+        load_scenario(path)
+        assert loaders == [yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader]
+        text = path.read_text()
+        assert load(text, Loader=loaders[0]) == yaml.safe_load(text)
+
     def test_utility_table_lookup(self, tmp_path):
         text = MINIMAL.replace(
             "acts:\n  f: [10, 0]",
