@@ -27,6 +27,12 @@ Times the ``ambicap`` that Python imports:
                                    16 filtering samples) and the three
                                    500-sample orders of the acceptance test
                                    ``test_c7_comparatives_coherence``
+    canonical_audit_ms             one ``check_canonical`` on ``family_5051``
+                                   and ``family_reflection`` at grids 5, 7,
+                                   9 and 11
+    core_ms                        one ``estimate_multi_meu_core`` as the
+                                   ``identify`` workload sizes it: 50
+                                   samples on the grid-9 urn ``model_5051``
 
 The timings go to ``runs[NAME]`` of the JSON file at ``--out``, which is
 created or updated, next to a ``machine`` block.  ``--out -`` prints the
@@ -47,6 +53,8 @@ from ambicap import (
     VARIANTS,
     StateSpace,
     check_axiom,
+    check_canonical,
+    estimate_multi_meu_core,
     evaluate_value,
     evaluate_values,
     higher_filtering_incentives,
@@ -56,7 +64,7 @@ from ambicap import (
     stack_lotteries,
 )
 from ambicap.sampling import LotterySampler, random_cap_model
-from ambicap.stock import family_5051, model_5051
+from ambicap.stock import family_5051, family_reflection, model_5051
 
 
 def best_of(repeats: int, fn) -> float:
@@ -165,6 +173,24 @@ def order_ops(repeats: int, grid: int, op_samples: tuple, c7_samples: int) -> di
     }
 
 
+def identification_ops(repeats: int, grids: tuple, core_grid: int, core_samples: int) -> dict:
+    """ms per canonical audit of each stock family and grid, and per
+    multi-MEU core call (sampler seed 0)."""
+    audits = {}
+    for make in (family_5051, family_reflection):
+        for grid in grids:
+            family = make(grid)
+            audits[f"{make.__name__}_{grid}"] = best_of(repeats, lambda: check_canonical(family)) * 1e3
+    model = model_5051(core_grid)
+    core = best_of(
+        repeats, lambda: estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), core_samples)
+    )
+    return {
+        "canonical_audit_ms": audits,
+        "core_ms": {"grid": core_grid, "samples": core_samples, "ms": core * 1e3},
+    }
+
+
 def machine() -> dict:
     return {
         "platform": platform.platform(),
@@ -187,6 +213,7 @@ def main() -> int:
 
     n_lotteries, trials, c4_models, c4_trials = (20, 5, 1, 5) if args.tiny else (2000, 150, 20, 1000)
     order_grid, order_samples, c7_samples = (5, (4, 4), 5) if args.tiny else (9, (24, 16), 500)
+    audit_grids, core_grid, core_samples = ((3,), 5, 10) if args.tiny else ((5, 7, 9, 11), 9, 50)
     run = {
         "repeats": args.repeats,
         **finite_evaluation(args.repeats, n_lotteries),
@@ -197,6 +224,7 @@ def main() -> int:
         "c4_models": c4_models,
         "c4_trials": c4_trials,
         "order_ms": order_ops(args.repeats, order_grid, order_samples, c7_samples),
+        **identification_ops(args.repeats, audit_grids, core_grid, core_samples),
     }
     path = None if args.out == "-" else Path(args.out)
     doc = json.loads(path.read_text()) if path is not None and path.exists() else {"runs": {}}

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    INCLUSION_TOL,
     BeliefSet,
     StateSpace,
     UtilityAct,
@@ -250,13 +251,38 @@ def _support_vector(M: BeliefSet, dirs: np.ndarray) -> np.ndarray:
 def check_canonical(family) -> CanonicalReport:
     """Check inclusion-monotonicity of costs and convexity of the structure.
 
-    Parametric families are sampled onto their grid first.  Mixture
-    convexity is checked on support-function fingerprints: whenever the
-    mixture of two members coincides with an actual member, that member's
-    cost must respect the convexity inequality.  ``hull_gaps`` is always
-    empty: support functions are Minkowski-linear, so a mixture's
-    fingerprint is the same mixture of two fingerprint rows and lies in
-    their hull by construction.
+    Parametric families are sampled onto their grid first.  Both checks
+    read the members' support-function fingerprints on
+    ``_probe_directions`` first and solve hull LPs (``is_subset``) only
+    where the fingerprints cannot decide.
+
+    Monotonicity: a pair (i, j) with ``costs[i] < costs[j] - 1e-9`` is a
+    violation when ``is_subset(M_i, M_j)``.  Acceptance means every vertex
+    v of M_i has a phase-1 gap of at most t = ``INCLUSION_TOL``: there are
+    weights w >= 0 on the vertices m_k of M_j with v = sum_k w_k m_k + e,
+    sum_k w_k = 1 - delta and |delta| + ||e||_1 <= t.  For a probe d, and
+    as |min_k m_k . d| <= ||d||_inf for probability vectors,
+        v . d >= (1 - delta) min_k m_k . d - ||e||_1 ||d||_inf
+              >= fp_j[d] - t ||d||_inf,
+    so fp_i[d] >= fp_j[d] - t ||d||_inf for every probe.  A pair that
+    breaks this bound by more than 1e-12 ||d||_inf, a slack for the
+    rounding of the fingerprints and of the simplex's gap (1000 times
+    below t), is rejected without an LP; ``is_subset`` tests the rest, in
+    row-major order.
+
+    Convexity: for i < j and each lambda, the members k whose fingerprint
+    is within 1e-9 of the lambda-mixture of rows i and j (support functions
+    are Minkowski-linear) are the near candidates, in index order.  The
+    first of them that is set-equal to the mixture decides: it is a
+    violation when its cost exceeds the chord by more than 1e-9.  Near
+    candidates are found in a window of the fingerprints sorted on one
+    column, one block of (j, lambda) per i.  The LPs run only where some
+    near candidate breaks the bound, and only up to the last such
+    candidate: one after it cannot break the bound whether or not it is
+    the first set-equal one.
+
+    ``hull_gaps`` is always empty: a mixture's fingerprint is the same
+    mixture of two fingerprint rows and lies in their hull by construction.
     """
     if isinstance(family, ParametricFamily):
         family = family.to_finite()
@@ -265,31 +291,46 @@ def check_canonical(family) -> CanonicalReport:
     K = len(sets)
     lambdas = (0.25, 0.5, 0.75)
 
-    mono = []
-    for i in range(K):
-        for j in range(K):
-            if i != j and costs[i] < costs[j] - 1e-9 and is_subset(sets[i], sets[j]):
-                mono.append((i, j, float(costs[i]), float(costs[j])))
-
     dirs = _probe_directions(family.states)
     fingerprints = np.vstack([_support_vector(M, dirs) for M in sets])
 
+    slack = (INCLUSION_TOL + 1e-12) * np.abs(dirs).max(axis=1)
+    nestable = (fingerprints[:, None, :] + slack >= fingerprints[None, :, :]).all(axis=2)
+    ordered = costs[:, None] < costs[None, :] - 1e-9
+    mono = [
+        (int(i), int(j), float(costs[i]), float(costs[j]))
+        for i, j in zip(*np.nonzero(ordered & nestable))
+        if is_subset(sets[i], sets[j])
+    ]
+
+    lam = np.array(lambdas)
+    column = max(range(dirs.shape[0]), key=lambda c: np.unique(fingerprints[:, c]).size)
+    by_column = np.argsort(fingerprints[:, column], kind="stable")
+    sorted_column = fingerprints[by_column, column]
     convexity = []
-    for i in range(K):
-        for j in range(i + 1, K):
-            for lam in lambdas:
-                target = lam * fingerprints[i] + (1.0 - lam) * fingerprints[j]
-                bound = lam * costs[i] + (1.0 - lam) * costs[j]
-                near = np.flatnonzero(
-                    np.abs(fingerprints - target).max(axis=1) <= 1e-9
-                )
-                for k in near:
-                    mixed = mix_sets(lam, sets[i], sets[j])
-                    if not (is_subset(mixed, sets[k]) and is_subset(sets[k], mixed)):
-                        continue
-                    if costs[k] > bound + 1e-9:
+    for i in range(K - 1):
+        # (j, lambda) blocks for j > i, flattened row-major
+        targets = lam[:, None] * fingerprints[i] + (1.0 - lam)[:, None] * fingerprints[i + 1 :, None, :]
+        targets = targets.reshape(-1, dirs.shape[0])
+        bounds = (lam * costs[i] + (1.0 - lam) * costs[i + 1 :, None]).reshape(-1)
+        # a window twice as wide as the test, so that rounding cannot hide a candidate
+        lo = np.searchsorted(sorted_column, targets[:, column] - 2e-9, "left")
+        counts = np.searchsorted(sorted_column, targets[:, column] + 2e-9, "right") - lo
+        # every target's window positions lo, lo + 1, ..., laid end to end
+        owner = np.repeat(np.arange(targets.shape[0]), counts)
+        start = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        k = by_column[start + np.arange(owner.size)]
+        near = np.abs(fingerprints[k] - targets[owner]).max(axis=1) <= 1e-9
+        breaks = near & (costs[k] > bounds[owner] + 1e-9)
+        for t in np.unique(owner[breaks]):
+            j, lam_t = i + 1 + t // lam.size, lambdas[t % lam.size]
+            candidates = np.sort(k[near & (owner == t)])
+            mixed = mix_sets(lam_t, sets[i], sets[j])
+            for m in candidates[candidates <= k[breaks & (owner == t)].max()]:
+                if is_subset(mixed, sets[m]) and is_subset(sets[m], mixed):
+                    if costs[m] > bounds[t] + 1e-9:
                         convexity.append(
-                            (i, j, float(lam), int(k), float(costs[k]), float(bound))
+                            (i, int(j), float(lam_t), int(m), float(costs[m]), float(bounds[t]))
                         )
                     break
 
@@ -314,10 +355,15 @@ def estimate_multi_meu_core(model: CapModel, sampler, n: int = 200) -> list[Beli
         raise ValueError("the minimal family is recovered from max-type variants")
     family = model.family
     found: list[BeliefSet] = []
+    # a repeated tag prunes to the same set, at distance 0 from a found one
+    seen = set()
     for _ in range(n):
         P = sampler.lottery()
         result = evaluate(model, P)
         for tag in result.optimal_perceptions:
+            if tag in seen:
+                continue
+            seen.add(tag)
             if isinstance(family, FiniteFamily):
                 candidate = family.sets[tag]
             else:

@@ -1,9 +1,12 @@
 """Command-line driver: verbs, flags, exit codes."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +188,27 @@ class TestVerbsAndFlags:
         first = capsys.readouterr().out
         assert main(["--seed", "11", "--format", "machine", "axioms", path]) == 0
         assert capsys.readouterr().out == first
+
+
+def _readme_commands():
+    """The ``ambicap`` lines of the README's bash blocks, comments cut."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    lines = [line.split("#")[0].strip() for block in blocks for line in block.splitlines()]
+    return [line for line in lines if line.startswith("ambicap ")]
+
+
+class TestReadme:
+    def test_commands_parse(self, urn_path, capsys):
+        commands = _readme_commands()
+        assert len(commands) >= 4
+        for command in commands:
+            argv = [urn_path if a == "scenario.yaml" else a for a in shlex.split(command)[1:]]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code != 2, (command, capsys.readouterr().err)
 
 
 class TestConsoleScript:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import ambicap.geometry as geometry
+import ambicap.identification as identification
 from ambicap import (
     BeliefSet,
     CapModel,
@@ -13,21 +15,27 @@ from ambicap import (
     Dictionary,
     FiniteFamily,
     Lottery,
+    ParametricFamily,
     StateSpace,
     UtilityAct,
     check_canonical,
     estimate_cost_star,
     estimate_multi_meu_core,
+    evaluate,
     evaluate_value,
+    is_subset,
+    mix_sets,
     normalize_act,
+    prune_vertices,
     set_equal,
     standard_bet_dictionary,
     support_value,
     symmetric_vertex_distance,
 )
-from ambicap.identification import _dictionary_payoffs, _menu_lp
-from ambicap.sampling import LotterySampler, random_cap_model
-from ambicap.stock import acts_dual_self, dual_self_model, model_5051
+from ambicap.geometry import INCLUSION_TOL, convex_combination_gap
+from ambicap.identification import _dictionary_payoffs, _menu_lp, _probe_directions, _support_vector
+from ambicap.sampling import LotterySampler, random_cap_model, random_finite_family
+from ambicap.stock import acts_dual_self, dual_self_model, family_5051, family_reflection, model_5051
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +257,72 @@ class TestCostLP:
         assert certified + 10.0 < est <= family.cost_at(theta) + 1e-9
 
 
+def _reference_check_canonical(family):
+    """The audit as one LP per cost-ordered pair and per near candidate:
+    every field of ``CanonicalReport``, in its order."""
+    if isinstance(family, ParametricFamily):
+        family = family.to_finite()
+    sets, costs, K = family.sets, family.costs, len(family.sets)
+    lambdas = (0.25, 0.5, 0.75)
+    mono = []
+    for i in range(K):
+        for j in range(K):
+            if i != j and costs[i] < costs[j] - 1e-9 and is_subset(sets[i], sets[j]):
+                mono.append((i, j, float(costs[i]), float(costs[j])))
+    dirs = _probe_directions(family.states)
+    fingerprints = np.vstack([_support_vector(M, dirs) for M in sets])
+    convexity = []
+    for i in range(K):
+        for j in range(i + 1, K):
+            for lam in lambdas:
+                target = lam * fingerprints[i] + (1.0 - lam) * fingerprints[j]
+                bound = lam * costs[i] + (1.0 - lam) * costs[j]
+                near = np.flatnonzero(np.abs(fingerprints - target).max(axis=1) <= 1e-9)
+                for k in near:
+                    mixed = mix_sets(lam, sets[i], sets[j])
+                    if not (is_subset(mixed, sets[k]) and is_subset(sets[k], mixed)):
+                        continue
+                    if costs[k] > bound + 1e-9:
+                        convexity.append((i, j, float(lam), int(k), float(costs[k]), float(bound)))
+                    break
+    return (not (mono or convexity), tuple(mono), tuple(convexity), (), K, lambdas)
+
+
+def _fields(report):
+    return (
+        report.canonical,
+        report.monotonicity_violations,
+        report.cost_convexity_violations,
+        report.hull_gaps,
+        report.members_checked,
+        report.lambdas,
+    )
+
+
+def _audit_family(seed):
+    """Random finite family, extended by up to five members that are a
+    copy priced higher, a shrunken copy priced lower, a mixture priced
+    off its chord, or a plain copy; every member is its own object."""
+    rng = np.random.default_rng(seed)
+    states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+    members = list(random_finite_family(states, rng, max_members=8, max_cost=20.0).members)
+    for _ in range(int(rng.integers(0, 6))):
+        kind = int(rng.integers(4))
+        (M, c), (M2, c2) = (members[int(rng.integers(len(members)))] for _ in range(2))
+        if kind == 0:
+            members.append((BeliefSet(states, M.matrix), c + rng.uniform(0.5, 5.0)))
+        elif kind == 1:
+            shrunk = 0.5 * M.matrix + 0.5 * M.matrix.mean(axis=0)
+            members.append((BeliefSet(states, shrunk), max(0.0, c - rng.uniform(0.5, 5.0))))
+        elif kind == 2:
+            lam = float(rng.choice([0.25, 0.5, 0.75]))
+            chord = lam * c + (1.0 - lam) * c2
+            members.append((mix_sets(lam, M, M2), max(0.0, chord + rng.uniform(-2.0, 2.0))))
+        else:
+            members.append((BeliefSet(states, M.matrix), c))
+    return FiniteFamily([members[p] for p in rng.permutation(len(members))])
+
+
 class TestCheckCanonical:
     def test_urn_grid_families_are_canonical(self, urn_small):
         report = check_canonical(urn_small.family)
@@ -284,6 +358,116 @@ class TestCheckCanonical:
         report = check_canonical(family)
         assert report.canonical
 
+    @pytest.mark.parametrize("grid", [3, 5])
+    @pytest.mark.parametrize("make", [family_5051, family_reflection])
+    def test_stock_families_match_the_reference_loop(self, make, grid):
+        family = make(grid)
+        assert _fields(check_canonical(family)) == _reference_check_canonical(family)
+
+    def test_random_families_match_the_reference_loop(self):
+        failing = 0
+        for seed in range(40):
+            family = _audit_family(seed)
+            want = _reference_check_canonical(family)
+            assert _fields(check_canonical(family)) == want, seed
+            failing += not want[0]
+        assert failing >= 20
+
+    @pytest.mark.parametrize("kind", ["duplicate", "nested", "mixture"])
+    def test_planted_violations_match_the_reference_loop(self, states3, kind):
+        wide = BeliefSet(states3, [(0.2, 0.8, 0.0), (0.8, 0.2, 0.0)])
+        point = BeliefSet(states3, [(0.5, 0.5, 0.0)])
+        mid = BeliefSet(states3, [(0.35, 0.65, 0.0), (0.65, 0.35, 0.0)])
+        corner = BeliefSet(states3, [(0.1, 0.1, 0.8)])
+        base = [(wide, 0.0), (point, 10.0), (mid, 5.0), (corner, 2.0)]
+        planted = {
+            "duplicate": (BeliefSet(states3, mid.matrix), 7.0),
+            "nested": (BeliefSet(states3, [(0.4, 0.6, 0.0)]), 1.0),
+            "mixture": (mix_sets(0.5, mid, corner), 6.0),
+        }[kind]
+        family = FiniteFamily(base + [planted])
+        report = check_canonical(family)
+        assert bool(report.cost_convexity_violations) == (kind == "mixture")
+        assert bool(report.monotonicity_violations) == (kind != "mixture")
+        assert _fields(report) == _reference_check_canonical(family)
+
+    def test_prefilter_skips_only_pairs_the_lp_rejects(self, monkeypatch):
+        checked = []
+        for seed in range(30):
+            family = _audit_family(seed)
+            sets, costs = family.sets, family.costs
+            index = {id(M): i for i, M in enumerate(sets)}
+            tested = set()
+
+            def recording(M, M2, tol=INCLUSION_TOL):
+                if id(M) in index and id(M2) in index:
+                    tested.add((index[id(M)], index[id(M2)]))
+                return is_subset(M, M2, tol)
+
+            monkeypatch.setattr(identification, "is_subset", recording)
+            check_canonical(family)
+            monkeypatch.undo()
+            for i, j in itertools.permutations(range(len(sets)), 2):
+                if costs[i] < costs[j] - 1e-9 and (i, j) not in tested:
+                    assert not is_subset(sets[i], sets[j]), (seed, i, j)
+                    checked.append((seed, i, j))
+        assert len(checked) > 500
+
+    def test_nested_pair_within_the_tolerance_is_reported(self, states3):
+        # the inner point sits off the outer segment's plane, with a phase-1
+        # gap of half the tolerance: is_subset accepts it, so the prefilter
+        # must keep the pair although the inner support value along -s3
+        # lies below the outer one
+        outer = BeliefSet(states3, [(0.8, 0.2, 0.0), (0.2, 0.8, 0.0)])
+        b = 0.25 * INCLUSION_TOL
+        inner = BeliefSet(states3, [(0.5 - b / 2, 0.5 - b / 2, b)])
+        gap = convex_combination_gap(outer.matrix, inner.matrix[0])
+        assert gap == pytest.approx(0.5 * INCLUSION_TOL, rel=1e-3)
+        family = FiniteFamily([(inner, 0.0), (outer, 3.0)])
+        report = check_canonical(family)
+        assert report.monotonicity_violations == ((0, 1, 0.0, 3.0),)
+        assert _fields(report) == _reference_check_canonical(family)
+
+    @pytest.mark.parametrize("mid_costs", [(4.0, 8.0), (8.0, 4.0)])
+    def test_first_set_equal_near_candidate_decides(self, states3, mid_costs):
+        # members 2 and 3 are the same halfway mixture of 0 and 1, whose
+        # chord is 5: the first of them decides, whether or not the second
+        # breaks the bound
+        wide = BeliefSet(states3, [(0.2, 0.8, 0.0), (0.8, 0.2, 0.0)])
+        point = BeliefSet(states3, [(0.5, 0.5, 0.0)])
+        mid = [(0.35, 0.65, 0.0), (0.65, 0.35, 0.0)]
+        family = FiniteFamily(
+            [(wide, 0.0), (point, 10.0)] + [(BeliefSet(states3, mid), c) for c in mid_costs]
+        )
+        report = check_canonical(family)
+        halfway = [v for v in report.cost_convexity_violations if v[:3] == (0, 1, 0.5)]
+        assert halfway == ([] if mid_costs[0] < 5.0 else [(0, 1, 0.5, 2, 8.0, 5.0)])
+        assert _fields(report) == _reference_check_canonical(family)
+
+    @pytest.mark.parametrize("shift", [-1e-10, 1e-10])
+    def test_near_candidate_on_either_side_of_the_mixture_is_found(self, states3, shift):
+        # the halfway mixture of 0 and 1, moved by 1e-10 along s1 - s2: its
+        # support values lie within 1e-9 of the mixture's, on either side
+        wide = BeliefSet(states3, [(0.2, 0.8, 0.0), (0.8, 0.2, 0.0)])
+        point = BeliefSet(states3, [(0.5, 0.5, 0.0)])
+        moved = BeliefSet(states3, [(0.35 + shift, 0.65 - shift, 0.0), (0.65 + shift, 0.35 - shift, 0.0)])
+        family = FiniteFamily([(wide, 0.0), (point, 10.0), (moved, 8.0)])
+        report = check_canonical(family)
+        assert report.cost_convexity_violations == ((0, 1, 0.5, 2, 8.0, 5.0),)
+        assert _fields(report) == _reference_check_canonical(family)
+
+    def test_canonical_stock_family_solves_no_lp(self, monkeypatch):
+        calls = []
+        solve = geometry._simplex
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(geometry, "_simplex", counting)
+        assert check_canonical(family_5051(5)).canonical
+        assert calls == []
+
 
 class TestMultiMeuCore:
     def test_recovers_dual_self_slices(self, slices_model):
@@ -305,3 +489,40 @@ class TestMultiMeuCore:
         sets = estimate_multi_meu_core(triangle, sampler, n=40)
         assert len(sets) == 1
         assert set_equal(sets[0], triangle.family.sets[0])
+
+    @pytest.mark.parametrize("case", ["urn"] + [f"random{seed}" for seed in range(10)])
+    def test_same_sets_as_pruning_every_tag(self, urn_small, monkeypatch, case):
+        if case == "urn":
+            model = urn_small
+        else:
+            rng = np.random.default_rng(int(case[6:]))
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            model = random_cap_model(states, rng, variant="cap")
+        family = model.family
+
+        def reference(sampler, n):
+            found, tags = [], []
+            for _ in range(n):
+                for tag in evaluate(model, sampler.lottery()).optimal_perceptions:
+                    tags.append(tag)
+                    if isinstance(family, FiniteFamily):
+                        candidate = family.sets[tag]
+                    else:
+                        candidate = family.member_at(np.asarray(tag))
+                    pruned = prune_vertices(candidate)
+                    if all(symmetric_vertex_distance(pruned, e) >= 1e-9 for e in found):
+                        found.append(pruned)
+            return found, tags
+
+        want, tags = reference(LotterySampler(model.states, seed=3), 50)
+        pruned = []
+        prune = identification.prune_vertices
+
+        def recording(M):
+            pruned.append(M)
+            return prune(M)
+
+        monkeypatch.setattr(identification, "prune_vertices", recording)
+        got = estimate_multi_meu_core(model, LotterySampler(model.states, seed=3), 50)
+        assert len(pruned) == len(set(tags)) < len(tags)
+        assert [M.matrix.tobytes() for M in got] == [M.matrix.tobytes() for M in want]
