@@ -9,6 +9,8 @@ Times the ``ambicap`` that Python imports:
                                    ``cap`` model, per call
     finite_kernel_per_lottery_us   one ``evaluate_values`` call over the same
                                    lotteries, per lottery
+    sampler_draw_lottery_us        one ``LotterySampler.draw_lottery`` on 4
+                                   states, per lottery
     parametric_kernel_per_lottery_us
                                    one ``evaluate_values`` call on the grid-11
                                    urn ``model_5051``, per lottery, for
@@ -27,6 +29,11 @@ Times the ``ambicap`` that Python imports:
                                    16 filtering samples) and the three
                                    500-sample orders of the acceptance test
                                    ``test_c7_comparatives_coherence``
+    cost_estimate_ms               one ``estimate_cost_star`` as the
+                                   ``identify`` workload sizes it: each of
+                                   the 25 members of ``model_5051`` and
+                                   ``model_reflection`` at grid 5 with the
+                                   standard bets, mean per estimate
     canonical_audit_ms             one ``check_canonical`` on ``family_5051``
                                    and ``family_reflection`` at grids 5, 7,
                                    9 and 11
@@ -54,6 +61,7 @@ from ambicap import (
     StateSpace,
     check_axiom,
     check_canonical,
+    estimate_cost_star,
     estimate_multi_meu_core,
     evaluate_value,
     evaluate_values,
@@ -62,9 +70,10 @@ from ambicap import (
     more_tolerant_ea_randomization,
     necessary_axioms,
     stack_lotteries,
+    standard_bet_dictionary,
 )
 from ambicap.sampling import LotterySampler, random_cap_model
-from ambicap.stock import family_5051, family_reflection, model_5051
+from ambicap.stock import STATES_4, family_5051, family_reflection, model_5051, model_reflection
 
 
 def best_of(repeats: int, fn) -> float:
@@ -91,6 +100,12 @@ def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
         "finite_evaluate_value_us": single / n_lotteries * 1e6,
         "finite_kernel_per_lottery_us": batched / n_lotteries * 1e6,
     }
+
+
+def sampler_draws(repeats: int, n_lotteries: int) -> float:
+    """us per ``draw_lottery`` on 4 states, one sampler across repeats."""
+    sampler = LotterySampler(StateSpace(["s0", "s1", "s2", "s3"]), seed=3)
+    return best_of(repeats, lambda: [sampler.draw_lottery() for _ in range(n_lotteries)]) / n_lotteries * 1e6
 
 
 def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
@@ -173,9 +188,19 @@ def order_ops(repeats: int, grid: int, op_samples: tuple, c7_samples: int) -> di
     }
 
 
-def identification_ops(repeats: int, grids: tuple, core_grid: int, core_samples: int) -> dict:
-    """ms per canonical audit of each stock family and grid, and per
-    multi-MEU core call (sampler seed 0)."""
+def identification_ops(
+    repeats: int, estimate_grid: int, grids: tuple, core_grid: int, core_samples: int
+) -> dict:
+    """ms per cost estimate of the urn members at ``estimate_grid``, per
+    canonical audit of each stock family and grid, and per multi-MEU core
+    call (sampler seed 0)."""
+    dictionary = standard_bet_dictionary(STATES_4)
+    members = [
+        (model, model.family.member_at(theta))
+        for model in (model_5051(estimate_grid), model_reflection(estimate_grid))
+        for theta in model.family.thetas
+    ]
+    estimates = best_of(repeats, lambda: [estimate_cost_star(m, M, dictionary, 5000) for m, M in members])
     audits = {}
     for make in (family_5051, family_reflection):
         for grid in grids:
@@ -186,6 +211,7 @@ def identification_ops(repeats: int, grids: tuple, core_grid: int, core_samples:
         repeats, lambda: estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), core_samples)
     )
     return {
+        "cost_estimate_ms": {"grid": estimate_grid, "estimates": len(members), "ms": estimates / len(members) * 1e3},
         "canonical_audit_ms": audits,
         "core_ms": {"grid": core_grid, "samples": core_samples, "ms": core * 1e3},
     }
@@ -213,10 +239,11 @@ def main() -> int:
 
     n_lotteries, trials, c4_models, c4_trials = (20, 5, 1, 5) if args.tiny else (2000, 150, 20, 1000)
     order_grid, order_samples, c7_samples = (5, (4, 4), 5) if args.tiny else (9, (24, 16), 500)
-    audit_grids, core_grid, core_samples = ((3,), 5, 10) if args.tiny else ((5, 7, 9, 11), 9, 50)
+    estimate_grid, audit_grids, core_grid, core_samples = (2, (3,), 5, 10) if args.tiny else (5, (5, 7, 9, 11), 9, 50)
     run = {
         "repeats": args.repeats,
         **finite_evaluation(args.repeats, n_lotteries),
+        "sampler_draw_lottery_us": sampler_draws(args.repeats, n_lotteries),
         **parametric_evaluation(args.repeats, n_lotteries // 10),
         "check_axiom_ms": axiom_ops(args.repeats, trials),
         "check_axiom_trials": trials,
@@ -224,7 +251,7 @@ def main() -> int:
         "c4_models": c4_models,
         "c4_trials": c4_trials,
         "order_ms": order_ops(args.repeats, order_grid, order_samples, c7_samples),
-        **identification_ops(args.repeats, audit_grids, core_grid, core_samples),
+        **identification_ops(args.repeats, estimate_grid, audit_grids, core_grid, core_samples),
     }
     path = None if args.out == "-" else Path(args.out)
     doc = json.loads(path.read_text()) if path is not None and path.exists() else {"runs": {}}

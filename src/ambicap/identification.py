@@ -16,6 +16,7 @@ lower bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,14 +180,6 @@ def _menu_lp(h: np.ndarray, Hmat: np.ndarray, costs: np.ndarray, max_pivots: int
     return w
 
 
-def _candidate_rows(family: ParametricFamily, thetas, payoffs: np.ndarray):
-    """(MEU of every atom, cost) for the members at the given thetas."""
-    thetas = np.asarray(thetas, dtype=float).reshape(-1, family.n_params)
-    verts = family.vertex_base[None] + np.einsum("ck,kvn->cvn", thetas, family.vertex_coefs)
-    costs = np.maximum(0.0, family.cost_base + thetas @ family.cost_coefs)
-    return (verts @ payoffs.T).min(axis=1), costs
-
-
 def estimate_cost_star(
     model: CapModel, M: BeliefSet, dictionary: Dictionary, budget: int = 5000
 ) -> CostEstimate:
@@ -204,9 +197,9 @@ def estimate_cost_star(
     if isinstance(family, FiniteFamily):
         Hmat, costs = family.meu_matrix(payoffs), family.costs
     else:
-        # in lexicographic order, on which the cost LP's first cheapest row depends
-        corners = np.stack(np.meshgrid(*[[0.0, 1.0]] * family.n_params, indexing="ij"), axis=-1)
-        Hmat, costs = _candidate_rows(family, corners, payoffs)
+        # the grid's corners, in the lexicographic order on which the cost LP's first cheapest row depends
+        corners = family.thetas[((family.thetas == 0.0) | (family.thetas == 1.0)).all(axis=1)]
+        Hmat, costs = family.meu_at(corners, payoffs)
 
     while True:
         w = _menu_lp(h, Hmat, costs, budget)
@@ -216,7 +209,7 @@ def estimate_cost_star(
         eps = 1e-9 * max(1.0, abs(result.value))
         if isinstance(family, FiniteFamily) or result.value <= np.max(Hmat @ w - costs) + eps:
             break
-        rows, row_costs = _candidate_rows(family, result.optimal_perceptions, payoffs)
+        rows, row_costs = family.meu_at(result.optimal_perceptions, payoffs)
         Hmat, costs = np.vstack([Hmat, rows]), np.concatenate([costs, row_costs])
 
     promised = (M.matrix @ witness.payoff_matrix.T).min(axis=0) @ witness.probs
@@ -248,13 +241,20 @@ def _support_vector(M: BeliefSet, dirs: np.ndarray) -> np.ndarray:
     return (M.matrix @ dirs.T).min(axis=0)
 
 
+def _probe_column(fingerprints: np.ndarray) -> int:
+    """The column with the most distinct values, the first one on a tie."""
+    ranked = np.sort(fingerprints, axis=0)
+    return int(np.argmax((ranked[1:] != ranked[:-1]).sum(axis=0)))
+
+
 def check_canonical(family) -> CanonicalReport:
     """Check inclusion-monotonicity of costs and convexity of the structure.
 
-    Parametric families are sampled onto their grid first.  Both checks
-    read the members' support-function fingerprints on
-    ``_probe_directions`` first and solve hull LPs (``is_subset``) only
-    where the fingerprints cannot decide.
+    A parametric family is audited in place: its members are its grid
+    points, indexed as in ``family.thetas``.  Both checks read the members'
+    support values on ``_probe_directions`` (``family.meu_matrix``) first
+    and solve hull LPs (``is_subset``) only where these cannot decide; a
+    member's ``BeliefSet`` is built only for such an LP.
 
     Monotonicity: a pair (i, j) with ``costs[i] < costs[j] - 1e-9`` is a
     violation when ``is_subset(M_i, M_j)``.  Acceptance means every vertex
@@ -284,15 +284,16 @@ def check_canonical(family) -> CanonicalReport:
     ``hull_gaps`` is always empty: a mixture's fingerprint is the same
     mixture of two fingerprint rows and lies in their hull by construction.
     """
-    if isinstance(family, ParametricFamily):
-        family = family.to_finite()
-    sets = family.sets
     costs = family.costs
-    K = len(sets)
-    lambdas = (0.25, 0.5, 0.75)
+    K = len(costs)
+    if isinstance(family, ParametricFamily):
+        member = functools.cache(lambda i: family.member_at(family.thetas[i]))
+    else:
+        member = family.sets.__getitem__
+    lambdas = CanonicalReport.lambdas
 
     dirs = _probe_directions(family.states)
-    fingerprints = np.vstack([_support_vector(M, dirs) for M in sets])
+    fingerprints = family.meu_matrix(dirs)
 
     slack = (INCLUSION_TOL + 1e-12) * np.abs(dirs).max(axis=1)
     nestable = (fingerprints[:, None, :] + slack >= fingerprints[None, :, :]).all(axis=2)
@@ -300,11 +301,11 @@ def check_canonical(family) -> CanonicalReport:
     mono = [
         (int(i), int(j), float(costs[i]), float(costs[j]))
         for i, j in zip(*np.nonzero(ordered & nestable))
-        if is_subset(sets[i], sets[j])
+        if is_subset(member(i), member(j))
     ]
 
     lam = np.array(lambdas)
-    column = max(range(dirs.shape[0]), key=lambda c: np.unique(fingerprints[:, c]).size)
+    column = _probe_column(fingerprints)
     by_column = np.argsort(fingerprints[:, column], kind="stable")
     sorted_column = fingerprints[by_column, column]
     convexity = []
@@ -325,9 +326,9 @@ def check_canonical(family) -> CanonicalReport:
         for t in np.unique(owner[breaks]):
             j, lam_t = i + 1 + t // lam.size, lambdas[t % lam.size]
             candidates = np.sort(k[near & (owner == t)])
-            mixed = mix_sets(lam_t, sets[i], sets[j])
+            mixed = mix_sets(lam_t, member(i), member(j))
             for m in candidates[candidates <= k[breaks & (owner == t)].max()]:
-                if is_subset(mixed, sets[m]) and is_subset(sets[m], mixed):
+                if is_subset(mixed, member(m)) and is_subset(member(m), mixed):
                     if costs[m] > bounds[t] + 1e-9:
                         convexity.append(
                             (i, int(j), float(lam_t), int(m), float(costs[m]), float(bounds[t]))
@@ -340,7 +341,6 @@ def check_canonical(family) -> CanonicalReport:
         cost_convexity_violations=tuple(convexity),
         hull_gaps=(),
         members_checked=K,
-        lambdas=lambdas,
     )
 
 

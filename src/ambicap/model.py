@@ -22,6 +22,10 @@ variants take the grid minimum, which a concave score attains at a corner,
 and the max variants then solve the score's epigraph LP over the whole box
 with the package's simplex kernel, one lottery at a time.
 
+Each formula is computed once: ``_meu`` is the MEU kernel of every
+candidate row, and ``ParametricFamily._template`` is the only evaluation
+of a parametric template, for the grid and for any theta alike.
+
 Values are utils throughout; the certainty equivalent of a lottery equals
 its value.
 """
@@ -188,6 +192,15 @@ def mix_acts(lam: float, f: UtilityAct, g: UtilityAct) -> UtilityAct:
     return UtilityAct(f.states, lam * f.payoffs + (1.0 - lam) * g.payoffs)
 
 
+def _meu(stacked: np.ndarray, offsets: np.ndarray, payoff_matrix: np.ndarray) -> np.ndarray:
+    """(n_candidates, n_acts) matrix of minimum expected payoffs.  ``einsum``
+    sums each entry over the states in one order whatever the number of
+    vertices or acts, so that, unlike a BLAS product, it rounds a row alike
+    in any batch."""
+    dots = np.einsum("vs,ns->vn", stacked, payoff_matrix)
+    return np.minimum.reduceat(dots, offsets, axis=0)
+
+
 class _Candidates:
     """Candidate belief sets with costs: candidate i costs ``costs[i]``, and
     its vertices are the rows of ``_stacked`` from ``_offsets[i]`` up to the
@@ -196,14 +209,7 @@ class _Candidates:
     __slots__ = ()
 
     def meu_matrix(self, payoff_matrix: np.ndarray) -> np.ndarray:
-        """(n_candidates, n_acts) matrix of minimum expected payoffs.
-
-        ``einsum`` sums each entry over the states in one order whatever the
-        number of acts.  A BLAS product does not, so batched and single
-        values would differ in their last bits.
-        """
-        dots = np.einsum("vs,ns->vn", self._stacked, payoff_matrix)
-        return np.minimum.reduceat(dots, self._offsets, axis=0)
+        return _meu(self._stacked, self._offsets, payoff_matrix)
 
 
 class FiniteFamily(_Candidates):
@@ -252,10 +258,15 @@ class ParametricFamily(_Candidates):
     """Affine vertex template over theta in [0,1]^k with an affine cost.
 
     Member(theta) has vertex matrix ``vertex_base + sum_i theta_i *
-    vertex_coefs[i]``; cost(theta) = ``cost_base + cost_coefs . theta``.
-    Vertices must be valid priors at every grid point, which (entries being
-    affine in theta) makes them valid on the whole box.  The candidates are
-    the members at the grid points ``thetas``, in lexicographic order.
+    vertex_coefs[i]``; cost(theta) = ``cost_base + cost_coefs . theta``,
+    clipped at 0.  Vertices must be valid priors at every grid point, which
+    (entries being affine in theta) makes them valid on the whole box.  The
+    candidates are the members at the grid points ``thetas``, in
+    lexicographic order.  Only ``_template`` evaluates the template, its
+    costs through ``_costs``, which ``cost_at`` calls alone; every cost is
+    clipped by ``np.maximum(cost, 0.0)``.  So at a grid point ``member_at``,
+    ``cost_at`` and ``meu_at`` equal the grid bit for bit, and
+    ``to_finite`` holds the grid's own members and costs.
     """
 
     __slots__ = (
@@ -303,19 +314,23 @@ class ParametricFamily(_Candidates):
         param_names = tuple(str(s) for s in param_names)
         if len(param_names) != k or len(set(param_names)) != k:
             raise ValueError("param_names must be distinct, one per parameter")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "vertex_base", _readonly(base))
+        object.__setattr__(self, "vertex_coefs", _readonly(coefs))
+        object.__setattr__(self, "cost_base", float(cost_base))
+        object.__setattr__(self, "cost_coefs", _readonly(cvec))
 
         # both ends are on every axis, so the grid holds the 2^k corners
         axis = np.linspace(0.0, 1.0, max(grid_resolution, 2))
         thetas = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-
-        verts = base[None] + np.einsum("ck,kvn->cvn", thetas, coefs)
-        sums = verts.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > 1e-12) or verts.min() < -1e-12:
-            bad = int(np.argmax(np.abs(sums - 1.0).max(axis=1)))
+        verts, costs = self._template(thetas)
+        sum_errors = np.abs(verts.sum(axis=2) - 1.0)
+        if sum_errors.max() > 1e-12 or verts.min() < -1e-12:
+            # the grid point with the worst row-sum error or negative entry
+            bad = int(np.argmax(np.maximum(sum_errors.max(axis=1), -verts.min(axis=(1, 2)))))
             raise ValueError(
                 f"template yields invalid priors at theta={thetas[bad].tolist()}"
             )
-        costs = float(cost_base) + thetas @ cvec
         if costs.min() < -GROUNDED_TOL:
             raise ValueError(f"cost goes negative on the grid ({costs.min()})")
         if costs.min() > GROUNDED_TOL:
@@ -323,11 +338,6 @@ class ParametricFamily(_Candidates):
                 f"cost not grounded: minimum over grid is {costs.min()}, not 0"
             )
 
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "vertex_base", _readonly(base))
-        object.__setattr__(self, "vertex_coefs", _readonly(coefs))
-        object.__setattr__(self, "cost_base", float(cost_base))
-        object.__setattr__(self, "cost_coefs", _readonly(cvec))
         object.__setattr__(self, "grid_resolution", int(grid_resolution))
         object.__setattr__(self, "param_names", param_names)
         object.__setattr__(self, "thetas", _readonly(thetas))
@@ -342,22 +352,42 @@ class ParametricFamily(_Candidates):
     def n_params(self) -> int:
         return self.vertex_coefs.shape[0]
 
+    def _template(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex blocks (n, n_vertices, n_states) and unclipped costs of
+        the members at the n rows of ``thetas``; ``einsum`` sums each
+        vertex entry in one order whatever n."""
+        thetas = np.array(thetas, dtype=float, ndmin=2)
+        verts = self.vertex_base + np.einsum("ck,kvn->cvn", thetas, self.vertex_coefs)
+        return verts, self._costs(thetas)
+
+    def _costs(self, thetas: np.ndarray) -> np.ndarray:
+        """The template's unclipped costs at the rows of a 2-D ``thetas``.
+        BLAS prices a single row by a dot product, which rounds unlike its
+        matrix-vector product, so one theta is priced as two equal rows."""
+        rows = np.concatenate((thetas, thetas)) if len(thetas) == 1 else thetas
+        return self.cost_base + (rows @ self.cost_coefs)[: len(thetas)]
+
+    def meu_at(self, thetas, payoff_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``meu_matrix`` and ``costs`` of the members at the rows of
+        ``thetas``."""
+        verts, costs = self._template(thetas)
+        n, n_vertices, n_states = verts.shape
+        meu = _meu(verts.reshape(-1, n_states), np.arange(n) * n_vertices, payoff_matrix)
+        return meu, np.maximum(costs, 0.0)
+
     def vertex_matrix_at(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        return self.vertex_base + np.tensordot(theta, self.vertex_coefs, axes=(0, 0))
+        return self._template(theta)[0][0]
 
     def member_at(self, theta) -> BeliefSet:
         return BeliefSet(self.states, self.vertex_matrix_at(theta))
 
     def cost_at(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        return max(0.0, self.cost_base + float(self.cost_coefs @ theta))
+        return float(np.maximum(self._costs(np.array(theta, dtype=float, ndmin=2)), 0.0)[0])
 
     def to_finite(self) -> FiniteFamily:
-        """Sample the family onto its grid, which holds the box corners."""
-        return FiniteFamily(
-            [(self.member_at(th), self.cost_at(th)) for th in self.thetas]
-        )
+        """The grid as a finite family; the grid holds the box corners."""
+        blocks = self._stacked.reshape(len(self.thetas), -1, len(self.states))
+        return FiniteFamily([(BeliefSet(self.states, v), c) for v, c in zip(blocks, self.costs)])
 
 
 def _lower_envelope_capacity(M: BeliefSet) -> ConvexCapacity:
@@ -484,8 +514,7 @@ def _parametric_lp_max(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
             theta[col] = tab[row, -1]
     theta = np.clip(theta, 0.0, 1.0)
     vals = A0 + np.tensordot(theta, AC, axes=(0, 0))
-    cost = family.cost_base + float(family.cost_coefs @ theta)
-    return theta, float(probs @ vals.min(axis=0)) + _COST_SIGN[model.variant] * cost
+    return theta, float(probs @ vals.min(axis=0)) + _COST_SIGN[model.variant] * family.cost_at(theta)
 
 
 def _with_lp(value: float, lp) -> float:

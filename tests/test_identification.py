@@ -468,6 +468,52 @@ class TestCheckCanonical:
         assert check_canonical(family_5051(5)).canonical
         assert calls == []
 
+    def test_parametric_family_is_audited_in_place(self, monkeypatch):
+        family, built, unrolled = family_5051(5), [], []
+        init, to_finite = BeliefSet.__init__, ParametricFamily.to_finite
+        monkeypatch.setattr(BeliefSet, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        monkeypatch.setattr(ParametricFamily, "to_finite", lambda self: unrolled.append(self) or to_finite(self))
+        assert check_canonical(family).canonical
+        assert built == [] and unrolled == []
+
+    def test_parametric_violations_match_the_reference_loop(self, states3, monkeypatch):
+        # theta[0] widens a segment and theta[1] moves it towards s3; a wider
+        # segment costs more, so each pair with the same theta[1] is a
+        # violation, reported by its positions in family.thetas
+        family = ParametricFamily(
+            states3,
+            [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0)],
+            [[(0.3, -0.3, 0.0), (-0.3, 0.3, 0.0)], [(-0.1, -0.1, 0.2), (-0.1, -0.1, 0.2)]],
+            0.0,
+            [4.0, 1.0],
+            3,
+        )
+        built = []
+        member_at = ParametricFamily.member_at
+        monkeypatch.setattr(ParametricFamily, "member_at", lambda self, t: built.append(t) or member_at(self, t))
+        report = check_canonical(family)
+        monkeypatch.undo()
+        assert report.monotonicity_violations[:2] == ((0, 3, 0.0, 2.0), (0, 6, 0.0, 4.0))
+        assert len(report.monotonicity_violations) == 9
+        assert 0 < len(built) <= len(family.thetas)  # each member at most once
+        assert _fields(report) == _reference_check_canonical(family)
+
+
+def _unique_count_column(fingerprints):
+    """The probe column as chosen before one sort replaced the per-column
+    ``np.unique`` calls."""
+    return max(range(fingerprints.shape[1]), key=lambda c: np.unique(fingerprints[:, c]).size)
+
+
+def test_probe_column_is_the_first_with_the_most_distinct_values():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 8)))
+        # few distinct values, so columns tie, and zeros of either sign
+        fingerprints = rng.integers(-2, 3, size=shape) * float(rng.choice([0.5, 1.0]))
+        fingerprints[rng.random(shape) < 0.3] = -0.0
+        assert identification._probe_column(fingerprints) == _unique_count_column(fingerprints)
+
 
 class TestMultiMeuCore:
     def test_recovers_dual_self_slices(self, slices_model):

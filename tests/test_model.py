@@ -229,6 +229,58 @@ class TestParametricFiniteAgreement:
             )
 
 
+def _template_families(make_random):
+    """The grid-11 and grid-101 urns and 20 random families."""
+    families = [family_5051(11), family_5051(101)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+        families.append(make_random(states, rng, int(rng.integers(2, 12))))
+    return families
+
+
+class TestParametricTemplate:
+    """Every member and cost of a parametric family comes from one template
+    evaluation, so a member at a grid point equals the grid bit for bit."""
+
+    def test_point_methods_equal_the_grid(self, random_parametric_family):
+        for family in _template_families(random_parametric_family):
+            blocks = family._stacked.reshape(len(family.thetas), -1, len(family.states))
+            for theta, block, cost in zip(family.thetas, blocks, family.costs):
+                assert np.array_equal(family.vertex_matrix_at(theta), block)
+                assert family.cost_at(theta) == cost
+
+    def test_to_finite_equals_the_grid(self, random_parametric_family):
+        for family in _template_families(random_parametric_family):
+            finite = family.to_finite()
+            assert np.array_equal(np.vstack([M.matrix for M in finite.sets]), family._stacked)
+            assert np.array_equal(finite.costs, family.costs)
+
+    def test_meu_at_equals_the_kernel_on_the_grid(self, random_parametric_family):
+        for family in _template_families(random_parametric_family):
+            payoffs = np.random.default_rng(3).normal(size=(6, len(family.states)))
+            meu, costs = family.meu_at(family.thetas, payoffs)
+            assert np.array_equal(meu, family.meu_matrix(payoffs))
+            assert np.array_equal(costs, family.costs)
+            for i in (0, len(family.thetas) // 2, len(family.thetas) - 1):
+                meu, costs = family.meu_at(family.thetas[i], payoffs)
+                assert np.array_equal(meu, family.meu_matrix(payoffs)[i : i + 1])
+                assert costs.tolist() == [family.costs[i]]
+
+    @pytest.mark.parametrize(
+        "base, coefs, theta",
+        [
+            ([[0.5, 0.5]], [[[0.7, -0.7]]], [1.0]),  # rows sum to 1, an entry goes negative
+            ([[1.2, -0.2]], [[[-0.7, 0.7]]], [0.0]),
+            ([[0.5, 0.5]], [[[0.2, 0.0]]], [1.0]),  # the row sum drifts from 1
+        ],
+    )
+    def test_invalid_template_names_its_worst_theta(self, base, coefs, theta):
+        with pytest.raises(ValueError) as err:
+            ParametricFamily(StateSpace(["a", "b"]), base, coefs, 0.0, [1.0], 3)
+        assert str(err.value) == f"template yields invalid priors at theta={theta}"
+
+
 def _ridge_model(grid_resolution):
     """Act (4, 0, -4) against vertex rows (1/4 + pi_i/8, 1/2, 1/4 - pi_i/8)
     with pi = (2x - y, 2y - x, 1 - x - y), at zero cost.  Row i's expected

@@ -207,6 +207,28 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="families.m.members"):
             load_scenario(_write(tmp_path, text))
 
+    def test_invalid_template_names_its_theta(self):
+        # the rows sum to 1 everywhere, but at t = 1 the prior is [1.2, -0.2]
+        raw = {
+            "states": ["a", "b"],
+            "acts": {"f": [10, 0]},
+            "families": {
+                "p": {
+                    "kind": "parametric",
+                    "params": ["t"],
+                    "grid_resolution": 3,
+                    "cost": "t",
+                    "vertices": [["1/2 + 7/10*t", "1/2 - 7/10*t"]],
+                }
+            },
+            "models": {"main": {"family": "p", "variant": "cap"}},
+            "queries": [{"kind": "evaluate", "model": "main", "lottery": "f"}],
+        }
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(raw)
+        assert err.value.path == "families.p"
+        assert str(err.value).endswith("invalid priors at theta=[1.0]")
+
     def test_grid_override(self, tmp_path):
         text = """
         name: parametric
