@@ -18,6 +18,11 @@ Times the ``ambicap`` that Python imports:
     parametric_evaluate_value_us   one ``evaluate_value`` on the grid-101 urn,
                                    per call, for ``cap`` and ``cautious``
     parametric_family_build_ms     one ``family_5051(101)``
+    parametric_lp_solves           ``_parametric_lp_max`` calls made by the
+                                   grid-11 ``cap`` batch above and by the
+                                   three 500-sample orders of c7 (below),
+                                   counted by wrapping the function in this
+                                   script
     check_axiom_ms                 one 150-trial ``check_axiom`` per variant,
                                    the mean over the variant's necessary
                                    axioms (A1 aside)
@@ -29,6 +34,9 @@ Times the ``ambicap`` that Python imports:
                                    16 filtering samples) and the three
                                    500-sample orders of the acceptance test
                                    ``test_c7_comparatives_coherence``
+    c7_shares_ms                   the 2 000-pair
+                                   ``shares_optimal_perception_detail``
+                                   loop of that acceptance test
     cost_estimate_ms               one ``estimate_cost_star`` as the
                                    ``identify`` workload sizes it: each of
                                    the 25 members of ``model_5051`` and
@@ -56,6 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
+import ambicap.model
 from ambicap import (
     VARIANTS,
     StateSpace,
@@ -69,6 +78,7 @@ from ambicap import (
     more_tolerant_ambiguity,
     more_tolerant_ea_randomization,
     necessary_axioms,
+    shares_optimal_perception_detail,
     stack_lotteries,
     standard_bet_dictionary,
 )
@@ -84,6 +94,24 @@ def best_of(repeats: int, fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def lp_solves(fn) -> int:
+    """``_parametric_lp_max`` calls made by ``fn()``, counted by wrapping
+    the function in its module for the call."""
+    original, calls = ambicap.model._parametric_lp_max, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    ambicap.model._parametric_lp_max = counted
+    try:
+        fn()
+    finally:
+        ambicap.model._parametric_lp_max = original
+    return calls
 
 
 def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
@@ -108,15 +136,20 @@ def sampler_draws(repeats: int, n_lotteries: int) -> float:
     return best_of(repeats, lambda: [sampler.draw_lottery() for _ in range(n_lotteries)]) / n_lotteries * 1e6
 
 
+def urn_batch(variant: str, n_lotteries: int):
+    """The grid-11 urn ``model_5051`` and ``n_lotteries`` lotteries of
+    sampler seed 2, as a list and stacked."""
+    model = model_5051(11, variant)
+    sampler = LotterySampler(model.states, seed=2)
+    lotteries = [sampler.lottery() for _ in range(n_lotteries)]
+    probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], len(model.states))
+    return model, lotteries, probs, payoffs
+
+
 def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
     kernel, single = {}, {}
     for variant in ("cap", "cautious"):
-        model = model_5051(11, variant)
-        sampler = LotterySampler(model.states, seed=2)
-        lotteries = [sampler.lottery() for _ in range(n_lotteries)]
-        probs, payoffs = stack_lotteries(
-            [(P.probs, P.payoff_matrix) for P in lotteries], len(model.states)
-        )
+        model, lotteries, probs, payoffs = urn_batch(variant, n_lotteries)
         batched = best_of(repeats, lambda: evaluate_values(model, probs, payoffs))
         kernel[variant] = batched / n_lotteries * 1e6
         fine = model_5051(101, variant)
@@ -128,6 +161,34 @@ def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
         "parametric_evaluate_value_us": single,
         "parametric_family_build_ms": best_of(repeats, lambda: family_5051(101)) * 1e3,
     }
+
+
+def parametric_lp_solves(n_lotteries: int, grid: int, c7_samples: int) -> dict:
+    """LP solves of the grid-11 ``cap`` batch of ``parametric_evaluation``
+    and of the three reflexive orders of c7 on ``model_5051(grid)``."""
+    model, _, probs, payoffs = urn_batch("cap", n_lotteries)
+    urn = model_5051(grid)
+
+    def c7_orders():
+        orders = (more_tolerant_ea_randomization, more_tolerant_ambiguity, higher_filtering_incentives)
+        for seed, order in enumerate(orders):
+            order(urn, urn, LotterySampler(urn.states, seed=seed), c7_samples)
+
+    return {
+        "grid11_cap_lotteries": n_lotteries,
+        "grid11_cap_batch": lp_solves(lambda: evaluate_values(model, probs, payoffs)),
+        "c7_grid": grid,
+        "c7_samples": c7_samples,
+        "c7_orders": lp_solves(c7_orders),
+    }
+
+
+def c7_shares(grid: int, n_pairs: int) -> None:
+    """The ``shares_optimal_perception_detail`` loop of c7."""
+    model = model_5051(grid)
+    sampler = LotterySampler(model.states, seed=3)
+    for _ in range(n_pairs):
+        shares_optimal_perception_detail(model, *sampler.pair())
 
 
 def axiom_ops(repeats: int, trials: int) -> dict:
@@ -238,7 +299,8 @@ def main() -> int:
         parser.error("--repeats must be at least 1")
 
     n_lotteries, trials, c4_models, c4_trials = (20, 5, 1, 5) if args.tiny else (2000, 150, 20, 1000)
-    order_grid, order_samples, c7_samples = (5, (4, 4), 5) if args.tiny else (9, (24, 16), 500)
+    order_grid, order_samples = (5, (4, 4)) if args.tiny else (9, (24, 16))
+    c7_samples, c7_pairs = (5, 20) if args.tiny else (500, 2000)
     estimate_grid, audit_grids, core_grid, core_samples = (2, (3,), 5, 10) if args.tiny else (5, (5, 7, 9, 11), 9, 50)
     run = {
         "repeats": args.repeats,
@@ -250,7 +312,13 @@ def main() -> int:
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
         "c4_models": c4_models,
         "c4_trials": c4_trials,
+        "parametric_lp_solves": parametric_lp_solves(n_lotteries // 10, order_grid, c7_samples),
         "order_ms": order_ops(args.repeats, order_grid, order_samples, c7_samples),
+        "c7_shares_ms": {
+            "grid": order_grid,
+            "pairs": c7_pairs,
+            "ms": best_of(args.repeats, lambda: c7_shares(order_grid, c7_pairs)) * 1e3,
+        },
         **identification_ops(args.repeats, estimate_grid, audit_grids, core_grid, core_samples),
     }
     path = None if args.out == "-" else Path(args.out)

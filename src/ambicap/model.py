@@ -18,9 +18,13 @@ candidate on a batch of zero-padded lotteries; a single ``evaluate`` or
 ``evaluate_value`` is its batch of one, so a candidate's score does not
 depend on the batch it is scored in.  On a parametric family each
 variant's score is concave and piecewise linear in theta, so the min
-variants take the grid minimum, which a concave score attains at a corner,
-and the max variants then solve the score's epigraph LP over the whole box
-with the package's simplex kernel, one lottery at a time.
+variants take the grid minimum, which a concave score attains at a corner.
+The max variants take the grid maximum where a supergradient at the best
+grid point certifies it as the box optimum (``_certified``, vectorised
+over a batch), and solve the score's epigraph LP over the whole box with
+the package's simplex kernel, one lottery at a time, only where the
+certificate fails; ``evaluate`` always solves the LP, whose optimum joins
+its perception list.
 
 Each formula is computed once: ``_meu`` is the MEU kernel of every
 candidate row, and ``ParametricFamily._template`` is the only evaluation
@@ -143,14 +147,17 @@ def serialize_lottery(P: Lottery) -> list:
 
 
 def stack_lotteries(lotteries, n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded (B, A) probabilities and (B, A, n_states) payoffs of B
-    lotteries given as ``(probs, payoffs)`` pairs.
+    """Zero-padded (B, A) probabilities and (B, A, n_states) payoffs of
+    B >= 1 lotteries given as ``(probs, payoffs)`` pairs.
 
     Each pair is checked as ``Lottery`` checks it: payoffs of the right
     shape and finite, probabilities positive and summing to 1 within 1e-12.
     Identical payoff rows are not merged.
     """
-    probs_list, payoffs_list = zip(*lotteries)
+    pairs = tuple(zip(*lotteries))
+    if not pairs:
+        raise ValueError("stack_lotteries needs at least one lottery")
+    probs_list, payoffs_list = pairs
     sizes = np.array([len(p) for p in probs_list])
     if [np.shape(x) for x in payoffs_list] != [(a, n_states) for a in sizes.tolist()]:
         raise DimensionMismatchError(
@@ -264,9 +271,13 @@ class ParametricFamily(_Candidates):
     candidates are the members at the grid points ``thetas``, in
     lexicographic order.  Only ``_template`` evaluates the template, its
     costs through ``_costs``, which ``cost_at`` calls alone; every cost is
-    clipped by ``np.maximum(cost, 0.0)``.  So at a grid point ``member_at``,
-    ``cost_at`` and ``meu_at`` equal the grid bit for bit, and
-    ``to_finite`` holds the grid's own members and costs.
+    clipped by ``np.maximum(cost, 0.0)``.  So at a grid point ``member_at``
+    and the MEU of ``meu_at`` equal the grid bit for bit, and so do
+    ``cost_at`` and the costs of ``meu_at`` with up to 7 parameters; with 8
+    or more, OpenBLAS's matrix-vector product can round one row's cost
+    differently in a product of another number of rows, so these costs
+    may differ from the grid's in the last bit.  ``to_finite`` holds the
+    grid's own members and costs.
     """
 
     __slots__ = (
@@ -519,33 +530,90 @@ def _parametric_lp_max(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
 
 def _with_lp(value: float, lp) -> float:
     """The LP's score when it beats the best candidate's ``value`` by more
-    than eps_opt, else ``value``."""
+    than eps_opt, else ``value``.  The only rule that chooses between the
+    two: ``evaluate`` applies it to every max-variant lottery on a
+    parametric family, ``evaluate_value`` and ``evaluate_values`` to the
+    rows that ``_certified`` rejects."""
     return lp[1] if lp[1] > value + 1e-9 * max(1.0, abs(value)) else value
 
 
-def _solve(model: CapModel, P: Lottery):
-    """(scores, value, lp) shared by ``evaluate`` and ``evaluate_value``.
+def _certified(
+    model: CapModel, probs: np.ndarray, payoffs: np.ndarray, best: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Mask of the B zero-padded lotteries whose best grid point
+    theta_g = ``thetas[best]``, of score ``values``, is the max variant's
+    box optimum within eps_opt / 4, eps_opt = 1e-9 * max(1, |value|).
 
-    ``scores`` are the candidates' scores.  For the max variants on a
-    parametric family, ``lp`` is the (theta, score) optimum of the exact LP,
-    and ``_with_lp`` decides the value.  The min variants need no LP: a
-    concave score attains its minimum over the box at a corner, and the
-    grid holds every corner.
+    The score f(theta) = sum_m p_m min_v (a_vm + b_vm . theta) + s * max(cost(theta), 0)
+    has s = ``_COST_SIGN`` <= 0, so clipping only lowers it: f <= f_lin,
+    the same sum with the unclipped cost, and f_lin(theta_g) = f(theta_g)
+    when cost(theta_g) >= 0.  Take tau = eps_opt / (4(k + 1)) and, at each
+    atom, one vertex v* whose piece at theta_g is within tau of the atom's
+    minimum; such a piece bounds the minimum from above everywhere, so
+    with g = s * cost_coefs + sum_m p_m b_v*m, for every theta in the box
+        f(theta) <= f_lin(theta) <= f(theta_g) + tau + g . (theta - theta_g)
+                 <= f(theta_g) + (k + 1) tau = f(theta_g) + eps_opt / 4
+    whenever g_i <= tau where theta_i = 0, g_i >= -tau where theta_i = 1
+    and |g_i| <= tau elsewhere (Rockafellar 1970, *Convex Analysis*, Thm
+    27.4, with a tolerance).  Then the epigraph LP cannot beat the grid by
+    eps_opt, so ``_with_lp`` would keep ``values``.  Any near-active vertex
+    gives a valid bound; among them each atom takes the one of least slope
+    along the inward direction d (d_i = -1 where theta_i = 1, else +1),
+    so the tie tolerance moves the hit rate, never soundness.  Padding
+    atoms have p_m = 0 and add nothing.
     """
+    family = model.family
+    (n_rows, n_atoms), k = probs.shape, family.n_params
+    thetas = family.thetas[best]
+    blocks = family._stacked.reshape(len(family.thetas), -1, len(family.states))[best]
+    pieces = np.einsum("bvs,bas->bva", blocks, payoffs)
+    slopes = np.einsum("kvs,bas->bkva", family.vertex_coefs, payoffs)
+    tau = 1e-9 * np.maximum(1.0, np.abs(values))[:, None] / (4 * (k + 1))
+    inward = np.where(thetas < 1.0, 1.0, -1.0)
+    along = np.einsum("bk,bkva->bva", inward, slopes)
+    along[pieces > pieces.min(axis=1, keepdims=True) + tau[:, :, None]] = np.inf
+    chosen = slopes[np.arange(n_rows)[:, None], :, along.argmin(axis=1), np.arange(n_atoms)]
+    g = _COST_SIGN[model.variant] * family.cost_coefs + np.einsum("ba,bak->bk", probs, chosen)
+    # g_i d_i <= tau where theta_i is 0 or 1, and |g_i| <= tau inside
+    slack = np.where((thetas > 0.0) & (thetas < 1.0), np.abs(g), inward * g)
+    return (slack <= tau).all(axis=1) & (family._costs(thetas) >= 0.0)
+
+
+def _values(model: CapModel, probs: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+    """Values of one chunk of B zero-padded lotteries: the best candidate's
+    score, which the max variants on a parametric family keep where
+    ``_certified`` proves it the box optimum, and otherwise pass to
+    ``_with_lp`` with the epigraph LP over the row's atoms of positive
+    probability.  The min variants need no LP: a concave score attains its
+    minimum over the box at a corner, and the grid holds every corner."""
+    scores = _scores(model, probs, payoffs)
+    if not _IS_MAX[model.variant]:
+        return scores.min(axis=0)
+    values = scores.max(axis=0)
+    if not model.is_parametric:
+        return values
+    best = np.argmax(scores, axis=0)
+    for i in np.flatnonzero(~_certified(model, probs, payoffs, best, values)):
+        real = probs[i] > 0.0
+        values[i] = _with_lp(values[i], _parametric_lp_max(model, probs[i, real], payoffs[i, real]))
+    return values
+
+
+def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
+    """Value of the lottery under the model, with near-optimal perceptions.
+
+    For the max variants on a parametric family the epigraph LP always
+    runs: its optimum theta* joins the perceptions when it is off the grid
+    and within eps_opt of the value, which the grid certificate alone
+    cannot show."""
     _check_same_states(model, P)
     scores = _scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
     sign = 1.0 if _IS_MAX[model.variant] else -1.0
     value = float(sign * np.max(sign * scores))
-    if sign < 0.0 or not model.is_parametric:
-        return scores, value, None
-    lp = _parametric_lp_max(model, P.probs, P.payoff_matrix)
-    return scores, _with_lp(value, lp), lp
-
-
-def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
-    """Value of the lottery under the model, with near-optimal perceptions."""
-    scores, value, lp = _solve(model, P)
-    sign = 1.0 if _IS_MAX[model.variant] else -1.0
+    lp = None
+    if sign > 0.0 and model.is_parametric:
+        lp = _parametric_lp_max(model, P.probs, P.payoff_matrix)
+        value = _with_lp(value, lp)
     eps = 1e-9 * max(1.0, abs(value))
     keep = np.flatnonzero(sign * scores >= sign * value - eps)
     if isinstance(model.family, FiniteFamily):
@@ -560,8 +628,10 @@ def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
 
 
 def evaluate_value(model: CapModel, P: Lottery) -> float:
-    """Fast path returning only the value (used by sampling-heavy callers)."""
-    return _solve(model, P)[1]
+    """Fast path returning only the value (used by sampling-heavy callers);
+    it equals ``evaluate``'s value."""
+    _check_same_states(model, P)
+    return float(_values(model, P.probs[None], P.payoff_matrix[None])[0])
 
 
 def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
@@ -571,10 +641,11 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
     Rows with fewer atoms are padded with probability 0 (and finite
     payoffs, such as 0).  The arrays are not checked as ``Lottery`` checks
     them; ``stack_lotteries`` builds checked ones.  Every row's candidates
-    are scored by one kernel, in chunks; the max variants on a parametric
-    family then solve the LP on each row's atoms of positive probability.
-    Every value equals ``evaluate_value`` of the row's lottery bit for bit
-    when the row has no two identical atoms, which ``Lottery`` would merge.
+    are scored by one kernel, in chunks, and ``_values`` certifies each
+    chunk's best candidates, so the max variants on a parametric family
+    solve the LP only on the rows the certificate rejects.  Every value
+    equals ``evaluate_value`` of the row's lottery bit for bit when the
+    row has no two identical atoms, which ``Lottery`` would merge.
     """
     probs = np.asarray(probs, dtype=float)
     payoffs = np.asarray(payoffs, dtype=float)
@@ -583,17 +654,12 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
             f"expected probs (B, A) and payoffs (B, A, {len(model.states)}), "
             f"got {probs.shape} and {payoffs.shape}"
         )
-    sign = 1.0 if _IS_MAX[model.variant] else -1.0
     # rows per kernel call, so that the vertex-by-atom products stay small
     step = max(1, _KERNEL_ENTRIES // (len(model.family._stacked) * max(1, probs.shape[1])))
-    values = np.concatenate([
-        sign * np.max(sign * _scores(model, probs[i : i + step], payoffs[i : i + step]), axis=0)
+    return np.concatenate([
+        _values(model, probs[i : i + step], payoffs[i : i + step])
         for i in range(0, max(1, len(probs)), step)
     ])
-    if sign > 0.0 and model.is_parametric:
-        for i, (p, x) in enumerate(zip(probs, payoffs)):
-            values[i] = _with_lp(values[i], _parametric_lp_max(model, p[p > 0.0], x[p > 0.0]))
-    return values
 
 
 def certainty_equivalent(model: CapModel, P: Lottery) -> float:

@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, strategies as st
 
+import ambicap.model as model_module
 from ambicap import (
     BeliefSet,
     CapModel,
@@ -39,6 +40,7 @@ from ambicap.stock import (
     acts_reflection,
     dual_self_model,
     family_5051,
+    family_reflection,
     model_5051,
     model_reflection,
     triangle_model,
@@ -267,6 +269,24 @@ class TestParametricTemplate:
                 assert np.array_equal(meu, family.meu_matrix(payoffs)[i : i + 1])
                 assert costs.tolist() == [family.costs[i]]
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_point_costs_equal_the_grid_up_to_seven_params(self, k):
+        # a BLAS matrix-vector product may round a row of 8 or more terms
+        # unlike a product of another number of rows; up to 7 it does not
+        rng = np.random.default_rng(k)
+        states = StateSpace(["a", "b", "c"])
+        base = rng.dirichlet(np.ones(3), size=2)
+        coefs = np.stack([(rng.dirichlet(np.ones(3), size=2) - base) / k for _ in range(k)])
+        cost_coefs = rng.uniform(-5.0, 5.0, k)
+        cost_base = -np.minimum(cost_coefs, 0.0).sum()
+        family = ParametricFamily(states, base, coefs, cost_base, cost_coefs, 3)
+        payoffs = rng.normal(size=(2, 3))
+        grid_meu = family.meu_matrix(payoffs)
+        for i, theta in enumerate(family.thetas):
+            assert family.cost_at(theta) == family.costs[i]
+            meu, costs = family.meu_at(theta, payoffs)
+            assert np.array_equal(meu, grid_meu[i : i + 1]) and costs.tolist() == [family.costs[i]]
+
     @pytest.mark.parametrize(
         "base, coefs, theta",
         [
@@ -343,6 +363,118 @@ class TestParametricExactness:
             assert evaluate_value(model, P) == pytest.approx(
                 want, abs=1e-9 * max(1.0, abs(want))
             )
+
+
+def _always_lp_values(model, probs, payoffs):
+    """The max-variant values without the certificate: the best grid score,
+    then ``_with_lp`` against the epigraph LP on every row."""
+    values = np.max(model_module._scores(model, probs, payoffs), axis=0)
+    for i, (p, x) in enumerate(zip(probs, payoffs)):
+        lp = model_module._parametric_lp_max(model, p[p > 0.0], x[p > 0.0])
+        values[i] = model_module._with_lp(values[i], lp)
+    return values
+
+
+def _zero_cost_twin(family):
+    return ParametricFamily(
+        family.states,
+        family.vertex_base,
+        family.vertex_coefs,
+        0.0,
+        np.zeros(family.n_params),
+        family.grid_resolution,
+    )
+
+
+def _sampled(sampler, n):
+    """n lotteries and n even mixtures of pairs, and the stacked arrays."""
+    lotteries = [sampler.lottery() for _ in range(n)]
+    lotteries += [mix_lotteries(0.5, *sampler.pair()) for _ in range(n)]
+    n_states = len(lotteries[0].states)
+    return lotteries, *stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], n_states)
+
+
+def _certificate(model, probs, payoffs):
+    """The certificate's mask and the grid values of stacked lotteries."""
+    scores = model_module._scores(model, probs, payoffs)
+    values = np.max(scores, axis=0)
+    best = np.argmax(scores, axis=0)
+    return model_module._certified(model, probs, payoffs, best, values), values
+
+
+@pytest.fixture
+def counted_lps(monkeypatch):
+    """Each ``_parametric_lp_max`` call made by the model module, appended
+    to the returned list."""
+    calls, solve = [], model_module._parametric_lp_max
+    monkeypatch.setattr(
+        model_module, "_parametric_lp_max", lambda *args: calls.append(args) or solve(*args)
+    )
+    return calls
+
+
+class TestGridCertificate:
+    """The max variants keep the best grid score where a supergradient
+    certifies it as the box optimum, and solve the LP only elsewhere."""
+
+    def test_values_equal_the_always_lp_rule(self, random_parametric_family):
+        families = [make(g) for make in (family_5051, family_reflection) for g in (1, 3, 11)]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            families.append(random_parametric_family(states, rng, int(rng.integers(2, 12))))
+        for j, family in enumerate(families):
+            lotteries, probs, payoffs = _sampled(LotterySampler(family.states, seed=j), 6)
+            twin = _zero_cost_twin(family)
+            for model in (CapModel(family.states, family, "cap"), CapModel(family.states, twin, "dual_self")):
+                want = _always_lp_values(model, probs, payoffs).tolist()
+                assert evaluate_values(model, probs, payoffs).tolist() == want
+                assert [evaluate_value(model, P) for P in lotteries] == want
+
+    def test_certified_values_match_the_lp_oracle(self, random_parametric_family):
+        certified = 0
+        for seed in range(40):
+            rng = np.random.default_rng(100 + seed)
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            model = CapModel(states, random_parametric_family(states, rng), "cap")
+            lotteries, probs, payoffs = _sampled(LotterySampler(states, seed=seed), 5)
+            mask, values = _certificate(model, probs, payoffs)
+            for i in np.flatnonzero(mask):
+                want = _lp_value_oracle(model.family, lotteries[i])
+                assert abs(values[i] - want) <= 1e-9 * max(1.0, abs(want))
+            certified += int(mask.sum())
+        assert certified > 100
+
+    def test_urn_batches_solve_no_lp(self, counted_lps):
+        for model in (model_5051(11), model_reflection(11)):
+            lotteries, probs, payoffs = _sampled(LotterySampler(model.states, seed=4), 100)
+            evaluate_values(model, probs, payoffs)
+            evaluate_value(model, lotteries[0])
+        assert counted_lps == []
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    def test_ridge_reaches_the_lp(self, grid, counted_lps):
+        model, P = _ridge_model(grid)
+        probs, payoffs = P.probs[None], P.payoff_matrix[None]
+        assert _certificate(model, probs, payoffs)[0].tolist() == [False]
+        assert evaluate_value(model, P) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert evaluate_values(model, probs, payoffs)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert len(counted_lps) == 2
+
+    def test_negative_unclipped_cost_reaches_the_lp(self, states3, counted_lps):
+        # the cost is -1e-10 at theta = 0, inside GROUNDED_TOL, and clipped to
+        # 0 there; the score is flat in theta but for the cost, so the grid
+        # best is theta = 0, where the unclipped cost rules the proof out
+        family = ParametricFamily(
+            states3, [[0.2, 0.3, 0.5]], np.zeros((1, 1, 3)), -1e-10, [1.0], 5
+        )
+        model = CapModel(states3, family, "cap")
+        P = Lottery.dirac(UtilityAct(states3, [1.0, 2.0, 3.0]))
+        probs, payoffs = P.probs[None], P.payoff_matrix[None]
+        assert family._costs(family.thetas[:1]).tolist() == [-1e-10]
+        assert _certificate(model, probs, payoffs)[0].tolist() == [False]
+        assert evaluate_value(model, P) == _always_lp_values(model, probs, payoffs)[0]
+        assert len(counted_lps) == 2
 
 
 class TestBatchedKernel:
@@ -437,6 +569,8 @@ class TestBatchedKernel:
         for error, lottery in bad:
             with pytest.raises(error):
                 stack_lotteries([good, lottery], 3)
+        with pytest.raises(ValueError, match="at least one lottery"):
+            stack_lotteries([], 3)
 
 
 class TestChoquetVariant:
