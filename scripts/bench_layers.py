@@ -17,12 +17,19 @@ Times the ``ambicap`` that Python imports:
                                    ``cap`` and ``cautious``
     parametric_evaluate_value_us   one ``evaluate_value`` on the grid-101 urn,
                                    per call, for ``cap`` and ``cautious``
-    parametric_family_build_ms     one ``family_5051(101)``
+    parametric_family_build_ms     one ``family_5051(101)``: the median
+                                   over fresh processes of each one's best
+                                   of 5 builds after a warm-up build, with
+                                   the quartiles (in one long process the
+                                   best of 5 spreads 2x on unchanged code)
     parametric_lp_solves           ``_parametric_lp_max`` calls made by the
                                    grid-11 ``cap`` batch above and by the
                                    three 500-sample orders of c7 (below),
                                    counted by wrapping the function in this
                                    script
+    evaluate_lp_solves             the same count for the ``c7_shares_ms``
+                                   loop and the ``core_ms`` call (below),
+                                   whose LPs all come from ``evaluate``
     check_axiom_ms                 one 150-trial ``check_axiom`` per variant,
                                    the mean over the variant's necessary
                                    axioms (A1 aside)
@@ -58,6 +65,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -114,6 +123,34 @@ def lp_solves(fn) -> int:
     return calls
 
 
+BUILD_TIMING = """
+import time
+from ambicap.stock import family_5051
+family_5051(101)
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    family_5051(101)
+    times.append(time.perf_counter() - start)
+print(min(times))
+"""
+
+
+def family_build(processes: int) -> dict:
+    """ms per ``family_5051(101)``: the median and quartiles over fresh
+    processes, each importing the ``ambicap`` this script imports, of the
+    best of 5 builds after a warm-up build."""
+    path = os.pathsep.join((str(Path(ambicap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")))
+    env = dict(os.environ, PYTHONPATH=path)
+    command = [sys.executable, "-c", BUILD_TIMING]
+    ms = [
+        float(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout) * 1e3
+        for _ in range(processes)
+    ]
+    low, _, high = statistics.quantiles(ms, n=4)
+    return {"processes": processes, "ms": statistics.median(ms), "quartiles": [low, high]}
+
+
 def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
     states = StateSpace(["s0", "s1", "s2", "s3"])
     model = random_cap_model(states, np.random.default_rng(5), "cap")
@@ -159,7 +196,6 @@ def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
     return {
         "parametric_kernel_per_lottery_us": kernel,
         "parametric_evaluate_value_us": single,
-        "parametric_family_build_ms": best_of(repeats, lambda: family_5051(101)) * 1e3,
     }
 
 
@@ -180,6 +216,19 @@ def parametric_lp_solves(n_lotteries: int, grid: int, c7_samples: int) -> dict:
         "c7_grid": grid,
         "c7_samples": c7_samples,
         "c7_orders": lp_solves(c7_orders),
+    }
+
+
+def evaluate_lp_solves(grid: int, n_pairs: int, core_grid: int, core_samples: int) -> dict:
+    """LP solves of the ``c7_shares`` loop and of the ``core_ms`` call."""
+    model = model_5051(core_grid)
+    return {
+        "c7_grid": grid,
+        "c7_pairs": n_pairs,
+        "c7_shares": lp_solves(lambda: c7_shares(grid, n_pairs)),
+        "core_grid": core_grid,
+        "core_samples": core_samples,
+        "core": lp_solves(lambda: estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), core_samples)),
     }
 
 
@@ -307,12 +356,14 @@ def main() -> int:
         **finite_evaluation(args.repeats, n_lotteries),
         "sampler_draw_lottery_us": sampler_draws(args.repeats, n_lotteries),
         **parametric_evaluation(args.repeats, n_lotteries // 10),
+        "parametric_family_build_ms": family_build(2 if args.tiny else 9),
         "check_axiom_ms": axiom_ops(args.repeats, trials),
         "check_axiom_trials": trials,
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
         "c4_models": c4_models,
         "c4_trials": c4_trials,
         "parametric_lp_solves": parametric_lp_solves(n_lotteries // 10, order_grid, c7_samples),
+        "evaluate_lp_solves": evaluate_lp_solves(order_grid, c7_pairs, core_grid, core_samples),
         "order_ms": order_ops(args.repeats, order_grid, order_samples, c7_samples),
         "c7_shares_ms": {
             "grid": order_grid,

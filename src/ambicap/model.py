@@ -23,8 +23,9 @@ The max variants take the grid maximum where a supergradient at the best
 grid point certifies it as the box optimum (``_certified``, vectorised
 over a batch), and solve the score's epigraph LP over the whole box with
 the package's simplex kernel, one lottery at a time, only where the
-certificate fails; ``evaluate`` always solves the LP, whose optimum joins
-its perception list.
+certificate fails.  ``_values`` holds this rule for every caller;
+``evaluate`` reads its perception list from the same scores, so the list
+holds the LP's optimum only on a row the certificate rejects.
 
 Each formula is computed once: ``_meu`` is the MEU kernel of every
 candidate row, and ``ParametricFamily._template`` is the only evaluation
@@ -466,7 +467,12 @@ class EvaluationResult:
 
     ``optimal_perceptions`` lists family indices (finite families) or theta
     tuples (parametric families) whose score is within
-    eps_opt = 1e-9 * max(1, |value|) of the optimum.
+    eps_opt = 1e-9 * max(1, |value|) of the optimum.  On a parametric family
+    these are the grid points within eps_opt of the value, plus, for a max
+    variant on a lottery whose grid optimum the certificate rejects, the
+    epigraph LP's theta* when it is off the grid and within eps_opt.  A
+    certified optimum can lie on a face of optimal thetas that reaches off
+    the grid; the list then holds only that face's grid points.
     """
 
     value: float
@@ -531,9 +537,9 @@ def _parametric_lp_max(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
 def _with_lp(value: float, lp) -> float:
     """The LP's score when it beats the best candidate's ``value`` by more
     than eps_opt, else ``value``.  The only rule that chooses between the
-    two: ``evaluate`` applies it to every max-variant lottery on a
-    parametric family, ``evaluate_value`` and ``evaluate_values`` to the
-    rows that ``_certified`` rejects."""
+    two, applied by ``_values`` to the rows that ``_certified`` rejects, for
+    ``evaluate``, ``evaluate_value`` and ``evaluate_values`` alike; a
+    certified row keeps its grid value and lists no LP theta*."""
     return lp[1] if lp[1] > value + 1e-9 * max(1.0, abs(value)) else value
 
 
@@ -579,49 +585,46 @@ def _certified(
     return (slack <= tau).all(axis=1) & (family._costs(thetas) >= 0.0)
 
 
-def _values(model: CapModel, probs: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """Values of one chunk of B zero-padded lotteries: the best candidate's
-    score, which the max variants on a parametric family keep where
-    ``_certified`` proves it the box optimum, and otherwise pass to
-    ``_with_lp`` with the epigraph LP over the row's atoms of positive
-    probability.  The min variants need no LP: a concave score attains its
-    minimum over the box at a corner, and the grid holds every corner."""
+def _values(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
+    """Scores, values and LP optima of one chunk of B zero-padded lotteries.
+
+    Returns the (n_candidates, B) candidate scores, the B values, and a dict
+    from row to the ``(theta, score)`` of each epigraph LP solved.  A value
+    is the best candidate's score, which the max variants on a parametric
+    family keep where ``_certified`` proves it the box optimum, and
+    otherwise pass to ``_with_lp`` with the LP over the row's atoms of
+    positive probability.  The min variants need no LP: a concave score
+    attains its minimum over the box at a corner, and the grid holds every
+    corner."""
     scores = _scores(model, probs, payoffs)
     if not _IS_MAX[model.variant]:
-        return scores.min(axis=0)
-    values = scores.max(axis=0)
-    if not model.is_parametric:
-        return values
-    best = np.argmax(scores, axis=0)
-    for i in np.flatnonzero(~_certified(model, probs, payoffs, best, values)):
-        real = probs[i] > 0.0
-        values[i] = _with_lp(values[i], _parametric_lp_max(model, probs[i, real], payoffs[i, real]))
-    return values
+        return scores, scores.min(axis=0), {}
+    values, lps = scores.max(axis=0), {}
+    if model.is_parametric:
+        best = np.argmax(scores, axis=0)
+        for i in np.flatnonzero(~_certified(model, probs, payoffs, best, values)):
+            real = probs[i] > 0.0
+            lps[i] = _parametric_lp_max(model, probs[i, real], payoffs[i, real])
+            values[i] = _with_lp(values[i], lps[i])
+    return scores, values, lps
 
 
 def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
-    """Value of the lottery under the model, with near-optimal perceptions.
-
-    For the max variants on a parametric family the epigraph LP always
-    runs: its optimum theta* joins the perceptions when it is off the grid
-    and within eps_opt of the value, which the grid certificate alone
-    cannot show."""
+    """Value of the lottery under the model, with near-optimal perceptions:
+    ``_values`` on a batch of one, then the candidates within eps_opt of
+    the value, and the LP's theta* where ``_values`` solved the LP."""
     _check_same_states(model, P)
-    scores = _scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
-    sign = 1.0 if _IS_MAX[model.variant] else -1.0
-    value = float(sign * np.max(sign * scores))
-    lp = None
-    if sign > 0.0 and model.is_parametric:
-        lp = _parametric_lp_max(model, P.probs, P.payoff_matrix)
-        value = _with_lp(value, lp)
+    scores, values, lps = _values(model, P.probs[None], P.payoff_matrix[None])
+    scores, value = scores[:, 0], float(values[0])
     eps = 1e-9 * max(1.0, abs(value))
-    keep = np.flatnonzero(sign * scores >= sign * value - eps)
+    near = scores >= value - eps if _IS_MAX[model.variant] else scores <= value + eps
+    keep = np.flatnonzero(near)
     if isinstance(model.family, FiniteFamily):
         return EvaluationResult(value, value, tuple(int(i) for i in keep))
 
     perceptions = [tuple(float(x) for x in model.family.thetas[i]) for i in keep]
-    if lp is not None and lp[1] >= value - eps:
-        t_star = tuple(float(x) for x in lp[0])
+    if lps and lps[0][1] >= value - eps:
+        t_star = tuple(float(x) for x in lps[0][0])
         if all(max(abs(a - b) for a, b in zip(t_star, p)) > 1e-12 for p in perceptions):
             perceptions.append(t_star)
     return EvaluationResult(value, value, tuple(sorted(perceptions)))
@@ -631,7 +634,7 @@ def evaluate_value(model: CapModel, P: Lottery) -> float:
     """Fast path returning only the value (used by sampling-heavy callers);
     it equals ``evaluate``'s value."""
     _check_same_states(model, P)
-    return float(_values(model, P.probs[None], P.payoff_matrix[None])[0])
+    return float(_values(model, P.probs[None], P.payoff_matrix[None])[1][0])
 
 
 def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
@@ -657,7 +660,7 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
     # rows per kernel call, so that the vertex-by-atom products stay small
     step = max(1, _KERNEL_ENTRIES // (len(model.family._stacked) * max(1, probs.shape[1])))
     return np.concatenate([
-        _values(model, probs[i : i + step], payoffs[i : i + step])
+        _values(model, probs[i : i + step], payoffs[i : i + step])[1]
         for i in range(0, max(1, len(probs)), step)
     ])
 

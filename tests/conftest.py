@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ambicap import ParametricFamily, StateSpace
+import ambicap.model as model_module
+from ambicap import EvaluationResult, FiniteFamily, ParametricFamily, StateSpace
 from ambicap.stock import (
     dual_self_model,
     model_5051,
@@ -70,3 +71,32 @@ def _random_parametric_family(states, rng, grid_resolution=5):
 @pytest.fixture
 def random_parametric_family():
     return _random_parametric_family
+
+
+def _always_lp_evaluate(model, P):
+    """``evaluate`` without the grid certificate, as an oracle: on a
+    parametric family the max variants solve the epigraph LP on every
+    lottery, and its theta* joins the perceptions when it is off the grid
+    and within eps_opt of the value."""
+    scores = model_module._scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
+    sign = 1.0 if model_module._IS_MAX[model.variant] else -1.0
+    value = float(sign * np.max(sign * scores))
+    lp = None
+    if sign > 0.0 and model.is_parametric:
+        lp = model_module._parametric_lp_max(model, P.probs, P.payoff_matrix)
+        value = model_module._with_lp(value, lp)
+    eps = 1e-9 * max(1.0, abs(value))
+    keep = np.flatnonzero(sign * scores >= sign * value - eps)
+    if isinstance(model.family, FiniteFamily):
+        return EvaluationResult(value, value, tuple(int(i) for i in keep))
+    perceptions = [tuple(float(x) for x in model.family.thetas[i]) for i in keep]
+    if lp is not None and lp[1] >= value - eps:
+        t_star = tuple(float(x) for x in lp[0])
+        if all(max(abs(a - b) for a, b in zip(t_star, p)) > 1e-12 for p in perceptions):
+            perceptions.append(t_star)
+    return EvaluationResult(value, value, tuple(sorted(perceptions)))
+
+
+@pytest.fixture
+def always_lp_evaluate():
+    return _always_lp_evaluate

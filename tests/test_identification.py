@@ -35,7 +35,15 @@ from ambicap import (
 from ambicap.geometry import INCLUSION_TOL, convex_combination_gap
 from ambicap.identification import _dictionary_payoffs, _menu_lp, _probe_directions, _support_vector
 from ambicap.sampling import LotterySampler, random_cap_model, random_finite_family
-from ambicap.stock import acts_dual_self, dual_self_model, family_5051, family_reflection, model_5051
+from ambicap.stock import (
+    STATES_4,
+    acts_dual_self,
+    dual_self_model,
+    family_5051,
+    family_reflection,
+    model_5051,
+    model_reflection,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +263,38 @@ class TestCostLP:
         certified = h @ w - evaluate_value(model, grid_witness)
         est = estimate_cost_star(model, member, d).value
         assert certified + 10.0 < est <= family.cost_at(theta) + 1e-9
+
+    def test_estimates_equal_those_of_the_always_lp_evaluate(self, monkeypatch, always_lp_evaluate):
+        # the cutting-plane loop takes its cuts from ``optimal_perceptions``,
+        # which list an LP theta* only where the grid certificate fails
+        d = standard_bet_dictionary(STATES_4)
+        members = [(m, m.family.member_at(t)) for m in (model_5051(5), model_reflection(5)) for t in m.family.thetas]
+        monkeypatch.setattr(identification, "evaluate", always_lp_evaluate)
+        want = [estimate_cost_star(m, M, d) for m, M in members]
+        monkeypatch.undo()
+        got = [estimate_cost_star(m, M, d) for m, M in members]
+        for est, ref in zip(got, want):
+            assert (est.value.hex(), est.is_lower_bound) == (ref.value.hex(), ref.is_lower_bound)
+            assert est.support_witness.probs.tobytes() == ref.support_witness.probs.tobytes()
+            assert est.support_witness.payoff_matrix.tobytes() == ref.support_witness.payoff_matrix.tobytes()
+
+    def test_cut_estimates_match_those_of_the_always_lp_evaluate(
+        self, monkeypatch, always_lp_evaluate, random_parametric_family
+    ):
+        # on random families the loop adds cuts, and where a certified row's
+        # list lacks an off-grid tie it may add other ones
+        states, cases = StateSpace(["s0", "s1", "s2"]), []
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            family = random_parametric_family(states, rng)
+            model = CapModel(states, family, "cap")
+            cases += [(model, family.member_at(rng.uniform(0.0, 1.0, family.n_params))) for _ in range(2)]
+        d = standard_bet_dictionary(states)
+        monkeypatch.setattr(identification, "evaluate", always_lp_evaluate)
+        want = [estimate_cost_star(m, M, d).value for m, M in cases]
+        monkeypatch.undo()
+        for (m, M), ref in zip(cases, want):
+            assert estimate_cost_star(m, M, d).value == pytest.approx(ref, abs=1e-9 * max(1.0, abs(ref)))
 
 
 def _reference_check_canonical(family):

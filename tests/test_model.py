@@ -20,6 +20,7 @@ from ambicap import (
     choquet_integral,
     constant_act,
     core_of_capacity,
+    estimate_multi_meu_core,
     evaluate,
     evaluate_value,
     evaluate_values,
@@ -475,6 +476,72 @@ class TestGridCertificate:
         assert _certificate(model, probs, payoffs)[0].tolist() == [False]
         assert evaluate_value(model, P) == _always_lp_values(model, probs, payoffs)[0]
         assert len(counted_lps) == 2
+
+
+def _off_grid_face_model(grid_resolution):
+    """Zero-cost ``cap`` model whose vertices are (x, 1 - x) and (1/3, 2/3)
+    at theta = (x, y); no vertex and no cost depends on y.  The bet (1, 0)
+    scores min(x, 1/3), optimal on the face x >= 1/3, which reaches off
+    every grid below in both coordinates; an even mixture with the bet
+    (0, 1) peaks at x = 1/3 alone."""
+    states = StateSpace(["s1", "s2"])
+    coefs = [[[1.0, -1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    family = ParametricFamily(states, [[0.0, 1.0], [1 / 3, 2 / 3]], coefs, 0.0, [0.0, 0.0], grid_resolution)
+    return CapModel(states, family, "cap")
+
+
+class TestCertifiedEvaluate:
+    """``evaluate`` is ``_values`` on a batch of one: the LP runs only on a
+    row the certificate rejects, and only then can its theta* be listed."""
+
+    def test_matches_the_always_lp_evaluate(self, random_parametric_family, always_lp_evaluate):
+        models = [make(g) for make in (model_5051, model_reflection) for g in (5, 9, 11)]
+        for seed in range(20):
+            rng = np.random.default_rng(200 + seed)
+            family = random_parametric_family(StateSpace(["s1", "s2", "s3"]), rng, int(rng.integers(2, 12)))
+            models += [CapModel(family.states, family, v) for v in ("cap", "cautious")]
+        off_grid = 0
+        for j, model in enumerate(models):
+            grid = set(map(tuple, model.family.thetas.tolist()))
+            for P in _sampled(LotterySampler(model.states, seed=j), 20)[0]:
+                got, want = evaluate(model, P), always_lp_evaluate(model, P)
+                assert got.value.hex() == want.value.hex()
+                assert got.optimal_perceptions == want.optimal_perceptions
+                off_grid += not grid.issuperset(got.optimal_perceptions)
+        # the LP's theta* is listed on rejected rows of the random families
+        assert off_grid > 100, off_grid
+
+    def test_sampled_urn_lotteries_solve_no_lp(self, counted_lps):
+        for model in [make(g) for make in (model_5051, model_reflection) for g in (5, 9, 11)]:
+            for P in _sampled(LotterySampler(model.states, seed=3), 20)[0]:
+                evaluate(model, P)
+        assert counted_lps == []
+        model = model_5051(9)
+        assert estimate_multi_meu_core(model, LotterySampler(model.states, seed=3), 50)
+        assert counted_lps == []
+
+    @pytest.mark.parametrize("grid", [3, 5, 11])
+    def test_certified_face_off_the_grid_lists_only_grid_points(self, grid, counted_lps, always_lp_evaluate):
+        model = _off_grid_face_model(grid)
+        thetas = model.family.thetas
+        bet = Lottery.dirac(UtilityAct(model.states, [1.0, 0.0]))
+        result = evaluate(model, bet)
+        assert counted_lps == []
+        assert result.value == 1 / 3
+        assert result.optimal_perceptions == tuple(tuple(t) for t in thetas[thetas[:, 0] > 1 / 3].tolist())
+        # the LP, run regardless, lands on the face off the grid
+        extra = set(always_lp_evaluate(model, bet).optimal_perceptions) - set(result.optimal_perceptions)
+        assert len(extra) == 1 and extra.pop()[0] == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", [3, 5, 11])
+    def test_rejected_interior_optimum_lists_the_lp_theta(self, grid, counted_lps):
+        model = _off_grid_face_model(grid)
+        mixture = Lottery(model.states, [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        result = evaluate(model, mixture)
+        assert len(counted_lps) == 1
+        assert result.value == pytest.approx(0.5, abs=1e-12)
+        ((x, _),) = result.optimal_perceptions
+        assert x == pytest.approx(1 / 3, abs=1e-12)
 
 
 class TestBatchedKernel:
