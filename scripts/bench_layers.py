@@ -11,6 +11,8 @@ Times the ``ambicap`` that Python imports:
                                    lotteries, per lottery
     sampler_draw_lottery_us        one ``LotterySampler.draw_lottery`` on 4
                                    states, per lottery
+    sampler_chunk_per_trial_us     one 64-trial chunk of the ``A3-aepr``
+                                   (timing) draw on 4 states, per trial
     parametric_kernel_per_lottery_us
                                    one ``evaluate_values`` call on the grid-11
                                    urn ``model_5051``, per lottery, for
@@ -91,6 +93,7 @@ from ambicap import (
     stack_lotteries,
     standard_bet_dictionary,
 )
+from ambicap.axioms import _AXIOM_TABLE
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import STATES_4, family_5051, family_reflection, model_5051, model_reflection
 
@@ -171,6 +174,15 @@ def sampler_draws(repeats: int, n_lotteries: int) -> float:
     """us per ``draw_lottery`` on 4 states, one sampler across repeats."""
     sampler = LotterySampler(StateSpace(["s0", "s1", "s2", "s3"]), seed=3)
     return best_of(repeats, lambda: [sampler.draw_lottery() for _ in range(n_lotteries)]) / n_lotteries * 1e6
+
+
+def sampler_chunk(repeats: int, n_chunks: int) -> float:
+    """us per trial of a 64-trial chunk of the timing draw of ``A3-aepr``
+    on 4 states, one sampler across repeats."""
+    states = StateSpace(["s0", "s1", "s2", "s3"])
+    model, draw = random_cap_model(states, np.random.default_rng(5), "cap"), _AXIOM_TABLE["A3-aepr"][0]
+    sampler = LotterySampler(states, seed=3)
+    return best_of(repeats, lambda: [draw(model, sampler, 64) for _ in range(n_chunks)]) / (64 * n_chunks) * 1e6
 
 
 def urn_batch(variant: str, n_lotteries: int):
@@ -355,6 +367,7 @@ def main() -> int:
         "repeats": args.repeats,
         **finite_evaluation(args.repeats, n_lotteries),
         "sampler_draw_lottery_us": sampler_draws(args.repeats, n_lotteries),
+        "sampler_chunk_per_trial_us": sampler_chunk(args.repeats, max(1, n_lotteries // 64)),
         **parametric_evaluation(args.repeats, n_lotteries // 10),
         "parametric_family_build_ms": family_build(2 if args.tiny else 9),
         "check_axiom_ms": axiom_ops(args.repeats, trials),

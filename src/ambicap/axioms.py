@@ -9,15 +9,17 @@ that satisfy an axiom do so with exact arithmetic identities, so the slack
 never manufactures false counterexamples.
 
 Trials run in chunks of 1, 2, 4, ... and at most ``_MAX_CHUNK`` trials.  A
-chunk draws each trial's numbers in trial order, holds its lotteries as
-zero-padded arrays, scores all of them with few ``evaluate_values`` calls
-and computes its violations as one array expression.  The first violating
-trial is the witness.  The chunk that holds it is drawn again from its
-start up to the witness, so the sampler ends where trial-by-trial drawing
-would leave it.  Chunks grow from one trial because every trial scored
-past the witness is wasted, and on a parametric model each costs an LP.
-One driver, ``_first_violation``, runs these trials and the samples of the
-tolerance orders in ``comparatives``.
+trial is one fixed-width row of uniforms (see ``sampling``), so a chunk's
+numbers are one ``rng.random`` call, and the chunk size never changes a
+trial's numbers.  A chunk holds its lotteries as zero-padded arrays, scores
+all of them with few ``evaluate_values`` calls and computes its violations
+as one array expression.  The first violating trial is the witness.  The
+sampler is then rewound to the chunk's start and draws the trials up to the
+witness again, so it ends after the reported trial, where trial-by-trial
+drawing would leave it.  Chunks grow from one trial because every trial
+scored past the witness is wasted, and on a parametric model each costs an
+LP.  One driver, ``_first_violation``, runs these trials and the samples of
+the tolerance orders in ``comparatives``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     serialize_lottery,
     stack_lotteries,
 )
+from .sampling import lottery_row
 from .stock import P_5051, STATES_4, acts_5051, auxiliary_acts
 
 AXIOM_IDS = (
@@ -67,9 +70,9 @@ class AxiomReport:
     trials: int
 
 
-# A trial's ingredients map a key to a float, an act's payoff vector, or a
-# lottery's (probs, payoffs) arrays.  A chunk stacks them into (B,) floats,
-# (B, S) acts and zero-padded (B, A) / (B, A, S) lotteries.
+# A chunk maps each ingredient's key to (B,) floats, (B, S) acts or
+# zero-padded (B, A) / (B, A, S) lotteries; row i is trial i.  A witness
+# row read back for ``recheck_witness`` is stacked into a chunk of one.
 
 
 def _stack(model: CapModel, rows: list[dict]) -> dict:
@@ -85,15 +88,17 @@ def _stack(model: CapModel, rows: list[dict]) -> dict:
     return chunk
 
 
-def _serialize(model: CapModel, row: dict) -> dict:
+def _serialize(model: CapModel, chunk: dict, w: int) -> dict:
+    """JSON-ready ingredients of row ``w``, lotteries trimmed to their
+    support."""
     out = {}
-    for key, val in row.items():
+    for key, val in chunk.items():
         if isinstance(val, tuple):
-            out[key] = serialize_lottery(Lottery(model.states, *val))
-        elif isinstance(val, np.ndarray):
-            out[key] = val.tolist()
+            out[key] = serialize_lottery(Lottery(model.states, *lottery_row(val, w)))
+        elif val.ndim == 2:
+            out[key] = val[w].tolist()
         else:
-            out[key] = float(val)
+            out[key] = float(val[w])
     return out
 
 
@@ -236,69 +241,68 @@ def _psr_violations(model, c):
     return np.maximum(np.maximum(0.0, ug - u_mix), _iff_violation(uf - ug, e_f - e_g))
 
 
-# trial draws: one trial's numbers, taken from the sampler in a fixed order
+# trial draws: the chunk of B trials, each a row of the sampler's uniforms
+# laid out in a fixed order
 
 
-def _draw_fsd(model, sampler):
-    probs, payoffs = sampler.draw_lottery()
-    drops = sampler.rng.uniform(0.0, 50.0, payoffs.shape)
-    return {"P": (probs, payoffs), "Q": (probs, payoffs - drops)}
+def _draw_fsd(model, sampler, B):
+    """Q lowers each payoff of P by a uniform drop in [0, 50); the atoms of
+    a probe wider than ``max_support`` past that width are not lowered, and
+    atoms past the support keep payoff +0.0."""
+    A, S = sampler.max_support, len(model.states)
+    (probs, payoffs), drops = sampler.chunk(B, "lottery", A * S)
+    drops = np.pad(50.0 * drops.reshape(B, A, S), ((0, 0), (0, payoffs.shape[1] - A), (0, 0)))
+    return {"P": (probs, payoffs), "Q": (probs, payoffs - drops * (probs > 0.0)[:, :, None])}
 
 
-def _draw_timing(model, sampler):
-    return {
-        "kappa": sampler.uniform(),
-        "lam": sampler.uniform(),
-        "f": sampler.draw_act(),
-        "g": sampler.draw_act(),
-        "R": sampler.draw_lottery(),
-    }
+_TIMING = ("uniform", "uniform", "act", "lottery")  # kappa, lam, f, R
 
 
-def _draw_timing_constant(model, sampler):
-    raw = _draw_timing(model, sampler)
-    raw["g"] = np.full(len(model.states), sampler.payoff())
-    return raw
+def _draw_timing(model, sampler, B):
+    kappa, lam, f, R, g = sampler.chunk(B, *_TIMING, "act")
+    return {"kappa": kappa, "lam": lam, "f": f, "g": g, "R": R}
 
 
-def _draw_timing_comonotone(model, sampler):
-    raw = _draw_timing(model, sampler)
+def _draw_timing_constant(model, sampler, B):
+    kappa, lam, f, R, t = sampler.chunk(B, *_TIMING, "payoff")
+    g = np.repeat(t[:, None], len(model.states), axis=1)
+    return {"kappa": kappa, "lam": lam, "f": f, "g": g, "R": R}
+
+
+def _draw_timing_comonotone(model, sampler, B):
+    """g takes a sorted act's payoffs in f's stable order; two further
+    columns tie a random neighbouring pair with probability 1/4 (ties count
+    as comonotone)."""
+    kappa, lam, f, R, act, tie = sampler.chunk(B, *_TIMING, "act", 2)
     n = len(model.states)
-    values = np.sort(sampler.rng.uniform(sampler.low, sampler.high, n))
-    if n > 1 and sampler.rng.random() < 0.25:
-        i = int(sampler.rng.integers(n - 1))
-        values[i + 1] = values[i]  # ties count as comonotone
-    g = np.empty(n)
-    g[np.argsort(raw["f"], kind="stable")] = values
-    raw["g"] = g
-    return raw
+    values = np.sort(act, axis=1)
+    if n > 1:
+        tied = np.flatnonzero(tie[:, 0] < 0.25)
+        i = (tie[tied, 1] * (n - 1)).astype(np.intp)
+        values[tied, i + 1] = values[tied, i]
+    g = np.empty_like(values)
+    np.put_along_axis(g, np.argsort(f, axis=1, kind="stable"), values, axis=1)
+    return {"kappa": kappa, "lam": lam, "f": f, "g": g, "R": R}
 
 
-def _draw_pair_mix(model, sampler):
-    P, Q = sampler.draw_pair()
-    return {"lam": sampler.uniform(), "P": P, "Q": Q}
+def _draw_pair_mix(model, sampler, B):
+    (P, Q), lam = sampler.chunk(B, "pair", "uniform")
+    return {"lam": lam, "P": P, "Q": Q}
 
 
-def _draw_ica(model, sampler):
-    raw = _draw_pair_mix(model, sampler)
-    raw["p"] = sampler.payoff()
-    raw["q"] = sampler.payoff()
-    return raw
+def _draw_ica(model, sampler, B):
+    (P, Q), lam, p, q = sampler.chunk(B, "pair", "uniform", "payoff", "payoff")
+    return {"lam": lam, "P": P, "Q": Q, "p": p, "q": q}
 
 
-def _draw_sica(model, sampler):
-    raw = _draw_pair_mix(model, sampler)
-    raw["p"] = sampler.payoff()
-    return raw
+def _draw_sica(model, sampler, B):
+    (P, Q), lam, p = sampler.chunk(B, "pair", "uniform", "payoff")
+    return {"lam": lam, "P": P, "Q": Q, "p": p}
 
 
-def _draw_psr(model, sampler):
-    return {
-        "lam": sampler.uniform(),
-        "f": sampler.draw_act(),
-        "g": sampler.draw_act(),
-        "p": sampler.payoff(),
-    }
+def _draw_psr(model, sampler, B):
+    lam, f, g, p = sampler.chunk(B, "uniform", "act", "act", "payoff")
+    return {"lam": lam, "f": f, "g": g, "p": p}
 
 
 _AXIOM_TABLE = {
@@ -318,21 +322,24 @@ _AXIOM_TABLE = {
 def _first_violation(model: CapModel, sampler, n: int, draw, scan):
     """(trials, witness) of the first of n trials that ``scan(model, chunk)``
     flags, or (n, None); ``scan`` also returns arrays whose entries at the
-    witness join the ingredients that ``draw(model, sampler)`` drew."""
+    witness join the ingredients that ``draw(model, sampler, B)`` drew for
+    a chunk of B trials."""
     _check_same_states(model, sampler)
     done, size = 0, 1
     while done < n:
         mark = sampler.checkpoint()
-        rows = [draw(model, sampler) for _ in range(min(size, n - done))]
-        flags, values = scan(model, _stack(model, rows))
+        B = min(size, n - done)
+        chunk = draw(model, sampler, B)
+        flags, values = scan(model, chunk)
         if flags.any():
             w = int(np.argmax(flags))
-            if w + 1 < len(rows):
+            if w + 1 < B:
+                # draw the trials up to the witness again: the same rows
+                # of uniforms and the same probes
                 sampler.rewind(mark)
-                for _ in range(w + 1):
-                    draw(model, sampler)
-            return done + w + 1, _serialize(model, rows[w]) | {k: float(v[w]) for k, v in values.items()}
-        done += len(rows)
+                draw(model, sampler, w + 1)
+            return done + w + 1, _serialize(model, chunk, w) | {k: float(v[w]) for k, v in values.items()}
+        done += B
         size = min(2 * size, _MAX_CHUNK)
     return n, None
 

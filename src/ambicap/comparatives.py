@@ -6,8 +6,10 @@ streams, so a holds-verdict means "no counterexample found in n samples"
 while a fails-verdict carries a re-verifiable witness.
 
 The ambiguity and filtering orders score samples in chunks of 1 to 64 with
-the axiom checks' driver: the same seed gives the same witness as one sample
-at a time, and the sampler is wound back to the witness.  The ea order goes
+the axiom checks' driver.  A sample is one fixed-width row of the sampler's
+uniforms and a chunk is one ``rng.random`` call, so the chunk size never
+changes a sample: the same seed gives the same witness as one sample at a
+time, and the sampler ends after the reported sample.  The ea order goes
 pair by pair, because its cross-check logs every pair it scores.
 """
 
@@ -29,8 +31,8 @@ from .model import (
     evaluate_values,
     mix_lotteries,
     serialize_lottery,
-    stack_lotteries,
 )
+from .sampling import lottery_row
 
 log = logging.getLogger(__name__)
 
@@ -142,13 +144,18 @@ def more_tolerant_ambiguity(
         (v1,), (v2,) = _values(model1, c["P"]), _values(model2, c["P"])
         return v1 < v2 - SHARES_TOL, {"value1": v1, "value2": v2}
 
-    used, witness = _first_violation(model1, sampler, n, lambda m, s: {"P": s.draw_lottery()}, scan)
+    used, witness = _first_violation(model1, sampler, n, _draw_ambiguity, scan)
     return ComparativeVerdict(witness is None, witness, used)
 
 
-def _draw_filtering(model, sampler):
-    lam, (P, Q) = sampler.uniform(), sampler.draw_pair()
-    return {"lam": lam, "P": P, "Q": Q, "t": sampler.payoff()}
+def _draw_ambiguity(model, sampler, B):
+    (P,) = sampler.chunk(B, "lottery")
+    return {"P": P}
+
+
+def _draw_filtering(model, sampler, B):
+    lam, (P, Q), t = sampler.chunk(B, "uniform", "pair", "payoff")
+    return {"lam": lam, "P": P, "Q": Q, "t": t}
 
 
 def higher_filtering_incentives(
@@ -194,11 +201,10 @@ def dominates_benefit(
             CapModel(sets[0].states, FiniteFamily([(M, 0.0) for M in sets]), "dual_self")
             for sets in (Msets, Mprime_sets)
         )
-        draws = [sampler.draw_lottery() for _ in range(n)]
-        probs, payoffs = stack_lotteries(draws, len(best.states))
-        gaps = evaluate_values(best, probs, payoffs) - evaluate_values(best_prime, probs, payoffs)
+        (drawn,) = sampler.chunk(n, "lottery")
+        gaps = evaluate_values(best, *drawn) - evaluate_values(best_prime, *drawn)
         for i in np.flatnonzero(gaps < -SHARES_TOL):
-            note = {"P": serialize_lottery(Lottery(best.states, *draws[i])), "gap": float(gaps[i])}
+            note = {"P": serialize_lottery(Lottery(best.states, *lottery_row(drawn, i))), "gap": float(gaps[i])}
             log.error("benefit dominance sampled contradiction: %s", note)
             if diagnostics is not None:
                 diagnostics.append(note)

@@ -39,6 +39,7 @@ from .model import (
     ParametricFamily,
     evaluate,
 )
+from .sampling import lottery_row
 
 # Right-hand-side perturbation of the cost LP; random, so that it breaks the
 # affine dependences among candidate rows instead of repeating them.
@@ -349,17 +350,19 @@ def estimate_multi_meu_core(model: CapModel, sampler, n: int = 200) -> list[Beli
 
     An inner approximation of the minimal perception family: it grows with
     n and never over-reports (every returned set was exactly optimal at
-    some sampled lottery).
+    some sampled lottery).  ``n`` must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"need at least one sample, got n={n}")
     if model.variant not in ("cap", "dual_self", "choquet"):
         raise ValueError("the minimal family is recovered from max-type variants")
     family = model.family
     found: list[BeliefSet] = []
     # a repeated tag prunes to the same set, at distance 0 from a found one
     seen = set()
-    for _ in range(n):
-        P = sampler.lottery()
-        result = evaluate(model, P)
+    (drawn,) = sampler.chunk(n, "lottery")  # the n lotteries of n sampler.lottery() calls
+    for i in range(n):
+        result = evaluate(model, Lottery(model.states, *lottery_row(drawn, i)))
         for tag in result.optimal_perceptions:
             if tag in seen:
                 continue

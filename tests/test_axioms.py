@@ -15,6 +15,7 @@ from ambicap import (
     necessary_axioms,
     recheck_witness,
 )
+from ambicap import axioms
 from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import (
     P_5051,
@@ -90,28 +91,44 @@ class TestNecessaryAxioms:
             check_axiom(slices_model, axiom_id, sampler, n)
 
 
+def _one_at_a_time(model, axiom_id, sampler, n):
+    """(trials, violation, chunk) of the first violating trial, each trial
+    drawn by the axiom's own draw as a chunk of one and scored alone, or
+    (n, None, None)."""
+    draw, violations = axioms._AXIOM_TABLE[axiom_id]
+    for i in range(n):
+        chunk = draw(model, sampler, 1)
+        violation = float(violations(model, chunk)[0])
+        if violation > axioms.TRIAL_TOL:
+            return i + 1, violation, chunk
+    return n, None, None
+
+
 class TestSamplerState:
-    """After a check the sampler is where trial-by-trial drawing leaves it:
-    each expected next draw was recorded from checks that drew one trial at
-    a time."""
+    """After a check the sampler is where trial-by-trial drawing leaves it.
+    Each pinned value was recorded from ``_one_at_a_time`` on the same
+    seeds, and each test also runs that loop beside the check."""
 
     STATES_3 = StateSpace(["s0", "s1", "s2"])
 
     def test_after_a_check_that_holds(self):
         model = random_cap_model(self.STATES_3, np.random.default_rng(11), "cap")
-        sampler = LotterySampler(self.STATES_3, seed=7)
+        sampler, looped = (LotterySampler(self.STATES_3, seed=7) for _ in range(2))
         report = check_axiom(model, "A5-eaar", sampler, 150)
         assert (report.holds, report.trials) == (True, 150)
-        assert sampler.uniform() == 0.5400419204973969
+        assert _one_at_a_time(model, "A5-eaar", looped, 150) == (150, None, None)
+        assert sampler.uniform() == looped.uniform() == 0.3571969665449164
 
     def test_after_a_witness_inside_a_chunk(self):
-        # trial 10 is the third of the fourth chunk (trials 8 to 15)
+        # trial 38 is the seventh of the sixth chunk (trials 32 to 63)
         model = random_cap_model(self.STATES_3, np.random.default_rng(7), "cap")
-        sampler = LotterySampler(self.STATES_3, seed=7)
+        sampler, looped = (LotterySampler(self.STATES_3, seed=7) for _ in range(2))
         report = check_axiom(model, "A-imt", sampler, 150)
-        assert (report.holds, report.trials) == (False, 10)
-        assert report.counterexample["violation"] == pytest.approx(0.7697052332649434, rel=1e-12)
-        assert sampler.uniform() == 0.5903878678348518
+        trials, violation, _ = _one_at_a_time(model, "A-imt", looped, 150)
+        assert (report.holds, report.trials) == (False, trials) == (False, 38)
+        assert report.counterexample["violation"] == violation
+        assert violation == pytest.approx(0.19058025080894936, rel=1e-12)
+        assert sampler.uniform() == looped.uniform() == 0.5760583823718732
 
     def test_probes_must_share_the_state_space(self):
         probe = Lottery.constant(STATES_4, 1.0)
@@ -132,12 +149,13 @@ class TestSamplerState:
         probes = [(constant(2 * k + 1.0), constant(2 * k + 2.0)) for k in range(3)]
         probes += [(bet(1), bet(2))]
         probes += [(constant(2 * k + 1.0), constant(2 * k + 2.0)) for k in range(3, 5)]
-        sampler = LotterySampler(STATES_4, seed=4, pair_probes=probes)
+        sampler, looped = (LotterySampler(STATES_4, seed=4, pair_probes=probes) for _ in range(2))
         report = check_axiom(dual_self_model(), "A-eapr", sampler, 150)
-        assert (report.holds, report.trials) == (False, 4)
+        trials, _, chunk = _one_at_a_time(dual_self_model(), "A-eapr", looped, 150)
+        assert (report.holds, report.trials) == (False, trials) == (False, 4)
         assert report.counterexample["P"] == [[1.0, [0.0, 100.0, 0.0, 0.0]]]
-        assert report.counterexample["lam"] == 0.08083602389560218
-        assert sampler.uniform() == 0.6073558319950296
+        assert report.counterexample["lam"] == chunk["lam"][0] == 0.7857538492437716
+        assert sampler.uniform() == looped.uniform() == 0.9700710402217617
         assert sampler.pair()[0].payoff_matrix.tolist() == [[7.0] * 4]
 
 

@@ -23,7 +23,7 @@ from ambicap import (
 )
 from ambicap.comparatives import SHARES_TOL
 from ambicap.model import mix_lotteries, serialize_lottery
-from ambicap.sampling import LotterySampler, random_cap_model
+from ambicap.sampling import LotterySampler, lottery_row, random_cap_model
 from ambicap.stock import (
     acts_5051,
     eu_model,
@@ -211,9 +211,17 @@ class TestFilteringIncentives:
 # they must reproduce: same verdicts, same witnesses, same sampler state.
 
 
+# Reference loops: one sample at a time through the order's own draw, as a
+# chunk of one, scored lottery by lottery with evaluate_value.
+
+
+def _lottery(model, lotteries):
+    return Lottery(model.states, *lottery_row(lotteries, 0))
+
+
 def _reference_ambiguity(model1, model2, sampler, n):
     for i in range(n):
-        P = sampler.lottery()
+        P = _lottery(model1, ambicap.comparatives._draw_ambiguity(model1, sampler, 1)["P"])
         v1 = evaluate_value(model1, P)
         v2 = evaluate_value(model2, P)
         if v1 < v2 - SHARES_TOL:
@@ -225,9 +233,9 @@ def _reference_ambiguity(model1, model2, sampler, n):
 
 def _reference_filtering(model1, model2, sampler, n):
     for i in range(n):
-        lam = sampler.uniform()
-        P, Q = sampler.pair()
-        t = sampler.payoff()
+        c = ambicap.comparatives._draw_filtering(model1, sampler, 1)
+        lam, t = float(c["lam"][0]), float(c["t"][0])
+        P, Q = _lottery(model1, c["P"]), _lottery(model1, c["Q"])
         with_P = mix_lotteries(lam, P, Q)
         with_t = mix_lotteries(lam, Lottery.constant(model1.states, t), Q)
         d2 = evaluate_value(model2, with_P) - evaluate_value(model2, with_t)

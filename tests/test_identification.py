@@ -570,6 +570,11 @@ class TestMultiMeuCore:
                 symmetric_vertex_distance(member, got) < 1e-9 for got in sets
             )
 
+    @pytest.mark.parametrize("n", (0, -5))
+    def test_fewer_than_one_sample_rejected(self, slices_model, n):
+        with pytest.raises(ValueError, match="at least one sample"):
+            estimate_multi_meu_core(slices_model, LotterySampler(slices_model.states, seed=0), n)
+
     def test_singleton_meu_recovers_one_set(self, triangle):
         sampler = LotterySampler(triangle.states, seed=1)
         sets = estimate_multi_meu_core(triangle, sampler, n=40)
