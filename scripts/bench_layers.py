@@ -19,11 +19,8 @@ Times the ``ambicap`` that Python imports:
                                    ``cap`` and ``cautious``
     parametric_evaluate_value_us   one ``evaluate_value`` on the grid-101 urn,
                                    per call, for ``cap`` and ``cautious``
-    parametric_family_build_ms     one ``family_5051(101)``: the median
-                                   over fresh processes of each one's best
-                                   of 5 builds after a warm-up build, with
-                                   the quartiles (in one long process the
-                                   best of 5 spreads 2x on unchanged code)
+    parametric_family_build_ms     one ``family_5051(101)``, timed in
+                                   fresh processes (see below)
     parametric_lp_solves           ``_parametric_lp_max`` calls made by the
                                    grid-11 ``cap`` batch above and by the
                                    three 500-sample orders of c7 (below),
@@ -50,13 +47,24 @@ Times the ``ambicap`` that Python imports:
                                    ``identify`` workload sizes it: each of
                                    the 25 members of ``model_5051`` and
                                    ``model_reflection`` at grid 5 with the
-                                   standard bets, mean per estimate
+                                   standard bets, mean per estimate, timed
+                                   in fresh processes
     canonical_audit_ms             one ``check_canonical`` on ``family_5051``
                                    and ``family_reflection`` at grids 5, 7,
-                                   9 and 11
+                                   9 and 11, timed in fresh processes
     core_ms                        one ``estimate_multi_meu_core`` as the
                                    ``identify`` workload sizes it: 50
-                                   samples on the grid-9 urn ``model_5051``
+                                   samples on the grid-9 urn ``model_5051``,
+                                   timed in fresh processes
+    core_values_calls              the ``ambicap.model._values`` calls of
+                                   that ``core_ms`` call, counted by
+                                   wrapping the function in this script
+
+A row timed in fresh processes is the median over processes, each
+importing the ``ambicap`` this script imports, of each one's best of
+``--repeats`` calls after a warm-up call, with the quartiles: in one long
+process the best of 5 spreads up to 2x on unchanged code, depending on
+what ran before it.
 
 The timings go to ``runs[NAME]`` of the JSON file at ``--out``, which is
 created or updated, next to a ``machine`` block.  ``--out -`` prints the
@@ -108,50 +116,54 @@ def best_of(repeats: int, fn) -> float:
     return min(times)
 
 
-def lp_solves(fn) -> int:
-    """``_parametric_lp_max`` calls made by ``fn()``, counted by wrapping
-    the function in its module for the call."""
-    original, calls = ambicap.model._parametric_lp_max, 0
+def warm_best_ms(repeats: int, fn) -> float:
+    """Least wall time of ``repeats`` calls of ``fn`` after a warm-up call,
+    in ms."""
+    fn()
+    return best_of(repeats, fn) * 1e3
+
+
+def model_calls(name: str, fn) -> int:
+    """Calls of ``ambicap.model``'s function ``name`` made by ``fn()``,
+    counted by wrapping the function in its module for the call."""
+    original, calls = getattr(ambicap.model, name), 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    ambicap.model._parametric_lp_max = counted
+    setattr(ambicap.model, name, counted)
     try:
         fn()
     finally:
-        ambicap.model._parametric_lp_max = original
+        setattr(ambicap.model, name, original)
     return calls
 
 
-BUILD_TIMING = """
-import time
-from ambicap.stock import family_5051
-family_5051(101)
-times = []
-for _ in range(5):
-    start = time.perf_counter()
-    family_5051(101)
-    times.append(time.perf_counter() - start)
-print(min(times))
-"""
-
-
-def family_build(processes: int) -> dict:
-    """ms per ``family_5051(101)``: the median and quartiles over fresh
-    processes, each importing the ``ambicap`` this script imports, of the
-    best of 5 builds after a warm-up build."""
-    path = os.pathsep.join((str(Path(ambicap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")))
+def fresh(call: str, processes: int) -> dict:
+    """Median and quartiles, over ``processes`` fresh processes that import
+    the ``ambicap`` this script imports, of each entry of the dict of ms
+    that ``call``, an expression over this module's names, returns."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join((str(Path(ambicap.__file__).parents[1]), str(here), os.environ.get("PYTHONPATH", "")))
     env = dict(os.environ, PYTHONPATH=path)
-    command = [sys.executable, "-c", BUILD_TIMING]
-    ms = [
-        float(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout) * 1e3
+    command = [sys.executable, "-c", f"import json, bench_layers; print(json.dumps(bench_layers.{call}))"]
+    runs = [
+        json.loads(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout)
         for _ in range(processes)
     ]
-    low, _, high = statistics.quantiles(ms, n=4)
-    return {"processes": processes, "ms": statistics.median(ms), "quartiles": [low, high]}
+
+    def summary(ms):
+        low, _, high = statistics.quantiles(ms, n=4)
+        return {"processes": processes, "ms": statistics.median(ms), "quartiles": [low, high]}
+
+    return {key: summary([run[key] for run in runs]) for key in runs[0]}
+
+
+def family_build_ms(repeats: int) -> dict:
+    """ms per ``family_5051(101)``, in this process."""
+    return {"build": warm_best_ms(repeats, lambda: family_5051(101))}
 
 
 def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
@@ -224,23 +236,22 @@ def parametric_lp_solves(n_lotteries: int, grid: int, c7_samples: int) -> dict:
 
     return {
         "grid11_cap_lotteries": n_lotteries,
-        "grid11_cap_batch": lp_solves(lambda: evaluate_values(model, probs, payoffs)),
+        "grid11_cap_batch": model_calls("_parametric_lp_max", lambda: evaluate_values(model, probs, payoffs)),
         "c7_grid": grid,
         "c7_samples": c7_samples,
-        "c7_orders": lp_solves(c7_orders),
+        "c7_orders": model_calls("_parametric_lp_max", c7_orders),
     }
 
 
 def evaluate_lp_solves(grid: int, n_pairs: int, core_grid: int, core_samples: int) -> dict:
     """LP solves of the ``c7_shares`` loop and of the ``core_ms`` call."""
-    model = model_5051(core_grid)
     return {
         "c7_grid": grid,
         "c7_pairs": n_pairs,
-        "c7_shares": lp_solves(lambda: c7_shares(grid, n_pairs)),
+        "c7_shares": model_calls("_parametric_lp_max", lambda: c7_shares(grid, n_pairs)),
         "core_grid": core_grid,
         "core_samples": core_samples,
-        "core": lp_solves(lambda: estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), core_samples)),
+        "core": model_calls("_parametric_lp_max", core_call(core_grid, core_samples)),
     }
 
 
@@ -310,32 +321,56 @@ def order_ops(repeats: int, grid: int, op_samples: tuple, c7_samples: int) -> di
     }
 
 
-def identification_ops(
-    repeats: int, estimate_grid: int, grids: tuple, core_grid: int, core_samples: int
-) -> dict:
-    """ms per cost estimate of the urn members at ``estimate_grid``, per
-    canonical audit of each stock family and grid, and per multi-MEU core
-    call (sampler seed 0)."""
-    dictionary = standard_bet_dictionary(STATES_4)
-    members = [
+def urn_members(grid: int) -> list:
+    """(model, member) of every grid point of both urns at ``grid``."""
+    return [
         (model, model.family.member_at(theta))
-        for model in (model_5051(estimate_grid), model_reflection(estimate_grid))
+        for model in (model_5051(grid), model_reflection(grid))
         for theta in model.family.thetas
     ]
-    estimates = best_of(repeats, lambda: [estimate_cost_star(m, M, dictionary, 5000) for m, M in members])
-    audits = {}
+
+
+def core_call(grid: int, samples: int):
+    """The ``core_ms`` call: ``estimate_multi_meu_core`` on the urn at
+    ``grid``, sampler seed 0."""
+    model = model_5051(grid)
+    return lambda: estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), samples)
+
+
+def identification_ms(repeats: int, estimate_grid: int, grids: list, core_grid: int, core_samples: int) -> dict:
+    """ms per cost estimate of the urn members at ``estimate_grid``, per
+    canonical audit of each stock family and grid, and per multi-MEU core
+    call, in this process."""
+    dictionary = standard_bet_dictionary(STATES_4)
+    members = urn_members(estimate_grid)
+    ms = {
+        "cost_estimate": warm_best_ms(repeats, lambda: [estimate_cost_star(m, M, dictionary, 5000) for m, M in members])
+        / len(members)
+    }
     for make in (family_5051, family_reflection):
         for grid in grids:
             family = make(grid)
-            audits[f"{make.__name__}_{grid}"] = best_of(repeats, lambda: check_canonical(family)) * 1e3
-    model = model_5051(core_grid)
-    core = best_of(
-        repeats, lambda: estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), core_samples)
-    )
+            ms[f"{make.__name__}_{grid}"] = warm_best_ms(repeats, lambda: check_canonical(family))
+    ms["core"] = warm_best_ms(repeats, core_call(core_grid, core_samples))
+    return ms
+
+
+def identification_ops(
+    repeats: int, processes: int, estimate_grid: int, grids: tuple, core_grid: int, core_samples: int
+) -> dict:
+    """The ``identification_ms`` timings over fresh processes, and the
+    ``_values`` calls of one core call."""
+    ms = fresh(f"identification_ms({repeats}, {estimate_grid}, {list(grids)}, {core_grid}, {core_samples})", processes)
+    estimates, core = ms.pop("cost_estimate"), ms.pop("core")
     return {
-        "cost_estimate_ms": {"grid": estimate_grid, "estimates": len(members), "ms": estimates / len(members) * 1e3},
-        "canonical_audit_ms": audits,
-        "core_ms": {"grid": core_grid, "samples": core_samples, "ms": core * 1e3},
+        "cost_estimate_ms": {"grid": estimate_grid, "estimates": len(urn_members(estimate_grid)), **estimates},
+        "canonical_audit_ms": ms,
+        "core_ms": {"grid": core_grid, "samples": core_samples, **core},
+        "core_values_calls": {
+            "grid": core_grid,
+            "samples": core_samples,
+            "calls": model_calls("_values", core_call(core_grid, core_samples)),
+        },
     }
 
 
@@ -363,13 +398,14 @@ def main() -> int:
     order_grid, order_samples = (5, (4, 4)) if args.tiny else (9, (24, 16))
     c7_samples, c7_pairs = (5, 20) if args.tiny else (500, 2000)
     estimate_grid, audit_grids, core_grid, core_samples = (2, (3,), 5, 10) if args.tiny else (5, (5, 7, 9, 11), 9, 50)
+    processes = 2 if args.tiny else 9
     run = {
         "repeats": args.repeats,
         **finite_evaluation(args.repeats, n_lotteries),
         "sampler_draw_lottery_us": sampler_draws(args.repeats, n_lotteries),
         "sampler_chunk_per_trial_us": sampler_chunk(args.repeats, max(1, n_lotteries // 64)),
         **parametric_evaluation(args.repeats, n_lotteries // 10),
-        "parametric_family_build_ms": family_build(2 if args.tiny else 9),
+        "parametric_family_build_ms": fresh(f"family_build_ms({args.repeats})", processes)["build"],
         "check_axiom_ms": axiom_ops(args.repeats, trials),
         "check_axiom_trials": trials,
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
@@ -383,7 +419,7 @@ def main() -> int:
             "pairs": c7_pairs,
             "ms": best_of(args.repeats, lambda: c7_shares(order_grid, c7_pairs)) * 1e3,
         },
-        **identification_ops(args.repeats, estimate_grid, audit_grids, core_grid, core_samples),
+        **identification_ops(args.repeats, processes, estimate_grid, audit_grids, core_grid, core_samples),
     }
     path = None if args.out == "-" else Path(args.out)
     doc = json.loads(path.read_text()) if path is not None and path.exists() else {"runs": {}}

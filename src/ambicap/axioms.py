@@ -35,7 +35,6 @@ from .model import (
     Lottery,
     evaluate_value,
     evaluate_values,
-    mix_acts,
     serialize_lottery,
     stack_lotteries,
 )
@@ -432,31 +431,34 @@ def require_5051_box(Msets) -> None:
 def machina_5051_dual_self_property(Msets, sampler) -> AxiomReport:
     """Two-self analysis of the 50-51 acts: with every perception inside
     the 50-51 box, the value is affine along statewise g-h mixtures, so
-    preferring f1 over f2 forces preferring f3 over f4."""
+    preferring f1 over f2 forces preferring f3 over f4.
+
+    The mixtures at alpha = 0, 1/4, 1/2, 3/4, 1 and at three alphas drawn
+    as one chunk are the first eight trials, and the implication is the
+    ninth; g, h, the mixtures and f1..f4 are scored by one
+    ``evaluate_values`` call, and the first failing trial is reported."""
     require_5051_box(Msets)
     model = CapModel(
         STATES_4, FiniteFamily([(M, 0.0) for M in Msets]), "dual_self"
     )
-    aux = auxiliary_acts()
-    g, h = aux["g"], aux["h"]
-    ug = evaluate_value(model, Lottery.dirac(g))
-    uh = evaluate_value(model, Lottery.dirac(h))
-    trials = 0
-    alphas = [0.0, 0.25, 0.5, 0.75, 1.0] + [sampler.uniform() for _ in range(3)]
-    for alpha in alphas:
-        trials += 1
-        mixed = evaluate_value(model, Lottery.dirac(mix_acts(alpha, g, h)))
-        gap = abs(mixed - (alpha * ug + (1.0 - alpha) * uh))
-        if gap > TRIAL_TOL:
-            return AxiomReport(
-                "machina-5051-dual-self",
-                False,
-                {"alpha": alpha, "gap": gap, "kind": "affinity"},
-                trials,
-            )
-    acts = acts_5051()
-    u = {k: evaluate_value(model, Lottery.dirac(a)) for k, a in acts.items()}
-    trials += 1
+    aux, acts = auxiliary_acts(), acts_5051()
+    g, h = aux["g"].payoffs, aux["h"].payoffs
+    alphas = np.concatenate(([0.0, 0.25, 0.5, 0.75, 1.0], sampler.chunk(3, "uniform")[0]))
+    rows = np.vstack((g, h, _mix_acts(alphas, g, h), *(f.payoffs for f in acts.values())))
+    values = evaluate_values(model, *_dirac(rows))
+    ug, uh, mixed = values[0], values[1], values[2 : 2 + len(alphas)]
+    gaps = np.abs(mixed - (alphas * ug + (1.0 - alphas) * uh))
+    bad = np.flatnonzero(gaps > TRIAL_TOL)
+    if bad.size:
+        i = int(bad[0])
+        return AxiomReport(
+            "machina-5051-dual-self",
+            False,
+            {"alpha": float(alphas[i]), "gap": float(gaps[i]), "kind": "affinity"},
+            i + 1,
+        )
+    u = dict(zip(acts, values[2 + len(alphas) :].tolist()))
+    trials = len(alphas) + 1
     d12 = u["f1"] - u["f2"]
     d34 = u["f3"] - u["f4"]
     if d12 > TRIAL_TOL and d34 < TRIAL_TOL:

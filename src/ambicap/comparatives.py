@@ -26,11 +26,12 @@ from .model import (
     CapModel,
     FiniteFamily,
     Lottery,
-    evaluate,
+    evaluate_many,
     evaluate_value,
     evaluate_values,
     mix_lotteries,
     serialize_lottery,
+    stack_lotteries,
 )
 from .sampling import lottery_row
 
@@ -78,9 +79,13 @@ def perceptions_intersect(tags1, tags2) -> bool:
 
 def shares_optimal_perception_detail(model: CapModel, P: Lottery, Q: Lottery):
     """(linear, intersects): affine value along the segment, and whether the
-    two optimal-perception sets overlap."""
+    two optimal-perception sets overlap.  P and Q are scored by one
+    ``evaluate_many`` call, the mixtures one at a time."""
     _require_cap(model)
-    rP, rQ = evaluate(model, P), evaluate(model, Q)
+    _check_same_states(model, P)
+    _check_same_states(model, Q)
+    pair = stack_lotteries([(P.probs, P.payoff_matrix), (Q.probs, Q.payoff_matrix)], len(model.states))
+    rP, rQ = evaluate_many(model, *pair)
     linear = True
     for lam in _SHARES_LAMBDAS:
         mixed = evaluate_value(model, mix_lotteries(lam, P, Q))

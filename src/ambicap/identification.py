@@ -38,8 +38,8 @@ from .model import (
     Lottery,
     ParametricFamily,
     evaluate,
+    evaluate_many,
 )
-from .sampling import lottery_row
 
 # Right-hand-side perturbation of the cost LP; random, so that it breaks the
 # affine dependences among candidate rows instead of repeating them.
@@ -350,7 +350,10 @@ def estimate_multi_meu_core(model: CapModel, sampler, n: int = 200) -> list[Beli
 
     An inner approximation of the minimal perception family: it grows with
     n and never over-reports (every returned set was exactly optimal at
-    some sampled lottery).  ``n`` must be at least 1.
+    some sampled lottery).  The n lotteries are drawn as one chunk and
+    scored as one by ``evaluate_many``, which lists each one's optimal
+    perceptions as ``evaluate`` of that lottery would.  ``n`` must be at
+    least 1.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
@@ -361,8 +364,7 @@ def estimate_multi_meu_core(model: CapModel, sampler, n: int = 200) -> list[Beli
     # a repeated tag prunes to the same set, at distance 0 from a found one
     seen = set()
     (drawn,) = sampler.chunk(n, "lottery")  # the n lotteries of n sampler.lottery() calls
-    for i in range(n):
-        result = evaluate(model, Lottery(model.states, *lottery_row(drawn, i)))
+    for result in evaluate_many(model, *drawn):
         for tag in result.optimal_perceptions:
             if tag in seen:
                 continue

@@ -14,18 +14,20 @@ functional forms:
 Every value is exact.  A family is a list of candidate belief sets with
 costs: a finite family's members, or a parametric family's grid points,
 which hold every box corner.  One kernel, ``evaluate_values``, scores every
-candidate on a batch of zero-padded lotteries; a single ``evaluate`` or
-``evaluate_value`` is its batch of one, so a candidate's score does not
-depend on the batch it is scored in.  On a parametric family each
-variant's score is concave and piecewise linear in theta, so the min
-variants take the grid minimum, which a concave score attains at a corner.
+candidate on a batch of zero-padded lotteries, and ``evaluate_many`` adds
+each row's perceptions; a single ``evaluate`` or ``evaluate_value`` is a
+batch of one, so a candidate's score does not depend on the batch it is
+scored in.  On a parametric family each variant's score is concave and
+piecewise linear in theta, so the min variants take the grid minimum,
+which a concave score attains at a corner.
 The max variants take the grid maximum where a supergradient at the best
 grid point certifies it as the box optimum (``_certified``, vectorised
 over a batch), and solve the score's epigraph LP over the whole box with
 the package's simplex kernel, one lottery at a time, only where the
 certificate fails.  ``_values`` holds this rule for every caller;
-``evaluate`` reads its perception list from the same scores, so the list
-holds the LP's optimum only on a row the certificate rejects.
+``evaluate_many`` reads each row's perception list from the same scores,
+so the list holds the LP's optimum only on a row the certificate rejects,
+and ``evaluate`` is its batch of one.
 
 Each formula is computed once: ``_meu`` is the MEU kernel of every
 candidate row, and ``ParametricFamily._template`` is the only evaluation
@@ -37,6 +39,7 @@ its value.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -538,7 +541,7 @@ def _with_lp(value: float, lp) -> float:
     """The LP's score when it beats the best candidate's ``value`` by more
     than eps_opt, else ``value``.  The only rule that chooses between the
     two, applied by ``_values`` to the rows that ``_certified`` rejects, for
-    ``evaluate``, ``evaluate_value`` and ``evaluate_values`` alike; a
+    ``evaluate_many``, ``evaluate_values`` and their batches of one alike; a
     certified row keeps its grid value and lists no LP theta*."""
     return lp[1] if lp[1] > value + 1e-9 * max(1.0, abs(value)) else value
 
@@ -609,25 +612,68 @@ def _values(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
     return scores, values, lps
 
 
+def _results(model: CapModel, scores: np.ndarray, values: np.ndarray, lps: dict) -> list:
+    """``EvaluationResult`` of each row of one ``_values`` chunk: its value,
+    the candidates within eps_opt of it, and the LP's theta* where
+    ``_values`` solved the LP on the row and theta* is off the grid and
+    within eps_opt.  The only perception rule, for ``evaluate`` and
+    ``evaluate_many`` alike.  The grid is in lexicographic order, so a
+    row's grid points need sorting only when theta* joins them."""
+    vals = values.tolist()
+    eps = [1e-9 * max(1.0, abs(v)) for v in vals]
+    if _IS_MAX[model.variant]:
+        near = scores >= np.array([v - e for v, e in zip(vals, eps)])
+    else:
+        near = scores <= np.array([v + e for v, e in zip(vals, eps)])
+    rows, keep = np.nonzero(near.T)  # row by row, each row's candidates in order
+    rows = rows.tolist()
+    if isinstance(model.family, FiniteFamily):
+        tags = keep.tolist()
+    else:
+        tags = list(map(tuple, model.family.thetas[keep].tolist()))
+    results, start = [], 0
+    for i, value in enumerate(vals):
+        end = bisect.bisect_right(rows, i, start)
+        perceptions, start = tags[start:end], end
+        if i in lps and lps[i][1] >= value - eps[i]:
+            t_star = tuple(lps[i][0].tolist())
+            if all(max(abs(a - b) for a, b in zip(t_star, p)) > 1e-12 for p in perceptions):
+                perceptions.append(t_star)
+                perceptions.sort()
+        results.append(EvaluationResult(value, value, tuple(perceptions)))
+    return results
+
+
+def _chunks(model: CapModel, probs, payoffs):
+    """``_values`` of B lotteries held as zero-padded arrays, one kernel
+    chunk at a time, so that the vertex-by-atom products stay small."""
+    probs = np.asarray(probs, dtype=float)
+    payoffs = np.asarray(payoffs, dtype=float)
+    if payoffs.ndim != 3 or payoffs.shape[2] != len(model.states) or probs.shape != payoffs.shape[:2]:
+        raise DimensionMismatchError(
+            f"expected probs (B, A) and payoffs (B, A, {len(model.states)}), "
+            f"got {probs.shape} and {payoffs.shape}"
+        )
+    step = max(1, _KERNEL_ENTRIES // (len(model.family._stacked) * max(1, probs.shape[1])))
+    for i in range(0, max(1, len(probs)), step):
+        yield _values(model, probs[i : i + step], payoffs[i : i + step])
+
+
+def evaluate_many(model: CapModel, probs, payoffs) -> list[EvaluationResult]:
+    """``evaluate`` of B lotteries held as arrays, as ``evaluate_values``
+    takes them: ``probs`` of shape (B, A) and ``payoffs`` of shape
+    (B, A, n_states), zero-padded.  Each kernel chunk is one ``_values``
+    call.  Every result equals ``evaluate`` of the row's lottery bit for
+    bit when the row has no two identical atoms, which ``Lottery`` would
+    merge."""
+    return [result for chunk in _chunks(model, probs, payoffs) for result in _results(model, *chunk)]
+
+
 def evaluate(model: CapModel, P: Lottery) -> EvaluationResult:
     """Value of the lottery under the model, with near-optimal perceptions:
-    ``_values`` on a batch of one, then the candidates within eps_opt of
-    the value, and the LP's theta* where ``_values`` solved the LP."""
+    ``evaluate_many`` on a batch of one."""
     _check_same_states(model, P)
-    scores, values, lps = _values(model, P.probs[None], P.payoff_matrix[None])
-    scores, value = scores[:, 0], float(values[0])
-    eps = 1e-9 * max(1.0, abs(value))
-    near = scores >= value - eps if _IS_MAX[model.variant] else scores <= value + eps
-    keep = np.flatnonzero(near)
-    if isinstance(model.family, FiniteFamily):
-        return EvaluationResult(value, value, tuple(int(i) for i in keep))
-
-    perceptions = [tuple(float(x) for x in model.family.thetas[i]) for i in keep]
-    if lps and lps[0][1] >= value - eps:
-        t_star = tuple(float(x) for x in lps[0][0])
-        if all(max(abs(a - b) for a, b in zip(t_star, p)) > 1e-12 for p in perceptions):
-            perceptions.append(t_star)
-    return EvaluationResult(value, value, tuple(sorted(perceptions)))
+    return _results(model, *_values(model, P.probs[None], P.payoff_matrix[None]))[0]
 
 
 def evaluate_value(model: CapModel, P: Lottery) -> float:
@@ -650,19 +696,7 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
     equals ``evaluate_value`` of the row's lottery bit for bit when the
     row has no two identical atoms, which ``Lottery`` would merge.
     """
-    probs = np.asarray(probs, dtype=float)
-    payoffs = np.asarray(payoffs, dtype=float)
-    if payoffs.ndim != 3 or payoffs.shape[2] != len(model.states) or probs.shape != payoffs.shape[:2]:
-        raise DimensionMismatchError(
-            f"expected probs (B, A) and payoffs (B, A, {len(model.states)}), "
-            f"got {probs.shape} and {payoffs.shape}"
-        )
-    # rows per kernel call, so that the vertex-by-atom products stay small
-    step = max(1, _KERNEL_ENTRIES // (len(model.family._stacked) * max(1, probs.shape[1])))
-    return np.concatenate([
-        _values(model, probs[i : i + step], payoffs[i : i + step])[1]
-        for i in range(0, max(1, len(probs)), step)
-    ])
+    return np.concatenate([values for _, values, _ in _chunks(model, probs, payoffs)])
 
 
 def certainty_equivalent(model: CapModel, P: Lottery) -> float:

@@ -7,11 +7,15 @@ from ambicap import (
     AXIOM_IDS,
     AxiomReport,
     BeliefSet,
+    CapModel,
+    FiniteFamily,
     Lottery,
     StateSpace,
     UtilityAct,
     check_axiom,
+    evaluate_value,
     machina_5051_dual_self_property,
+    mix_acts,
     necessary_axioms,
     recheck_witness,
 )
@@ -20,6 +24,8 @@ from ambicap.sampling import LotterySampler, random_cap_model
 from ambicap.stock import (
     P_5051,
     STATES_4,
+    acts_5051,
+    auxiliary_acts,
     dual_self_model,
     model_5051,
     quarter_slice_sets,
@@ -232,6 +238,44 @@ class TestMachinaDualSelfProperty:
         sampler = LotterySampler(states4, seed=0)
         report = machina_5051_dual_self_property(embedded, sampler)
         assert report.holds
+
+    @pytest.mark.parametrize("tol", [axioms.TRIAL_TOL, 0.0, -1.0])
+    def test_matches_the_one_at_a_time_loop(self, monkeypatch, tol):
+        """The batched check reports the first failing trial of the loop it
+        replaced, with its trial count, and draws its alphas alike; lower
+        tolerances make rounding gaps fail at various trials."""
+        monkeypatch.setattr(axioms, "TRIAL_TOL", tol)
+
+        def loop(Msets, sampler):
+            model = CapModel(STATES_4, FiniteFamily([(M, 0.0) for M in Msets]), "dual_self")
+            aux = auxiliary_acts()
+            g, h = aux["g"], aux["h"]
+            ug, uh = (evaluate_value(model, Lottery.dirac(f)) for f in (g, h))
+            alphas = [0.0, 0.25, 0.5, 0.75, 1.0] + [sampler.uniform() for _ in range(3)]
+            for trials, alpha in enumerate(alphas, 1):
+                mixed = evaluate_value(model, Lottery.dirac(mix_acts(alpha, g, h)))
+                gap = abs(mixed - (alpha * ug + (1.0 - alpha) * uh))
+                if gap > tol:
+                    return False, {"alpha": alpha, "gap": gap, "kind": "affinity"}, trials
+            u = {k: evaluate_value(model, Lottery.dirac(f)) for k, f in acts_5051().items()}
+            d12, d34 = u["f1"] - u["f2"], u["f3"] - u["f4"]
+            if d12 > tol and d34 < tol:
+                return False, {"d12": d12, "d34": d34, "kind": "implication"}, len(alphas) + 1
+            return True, None, len(alphas) + 1
+
+        failed_at = set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            sets = random_box_5051_family(rng, n_members=int(rng.integers(1, 9)))
+            sampler, twin = LotterySampler(STATES_4, seed=seed), LotterySampler(STATES_4, seed=seed)
+            report = machina_5051_dual_self_property(sets, sampler)
+            want = loop(sets, twin)
+            # repr tells a numpy scalar from a float, and -0.0 from 0.0
+            assert repr((report.holds, report.counterexample, report.trials)) == repr(want)
+            assert sampler.uniform() == twin.uniform()
+            failed_at.add(None if report.holds else report.trials)
+        if tol == 0.0:
+            assert len(failed_at) > 2, failed_at
 
     def test_rejects_families_off_the_5051_urn(self, states4):
         M1, _ = quarter_slice_sets()  # red+blue mass 1/2, not 50/101

@@ -8,6 +8,7 @@ import scipy.optimize
 
 import ambicap.geometry as geometry
 import ambicap.identification as identification
+import ambicap.model as model_module
 from ambicap import (
     BeliefSet,
     CapModel,
@@ -581,14 +582,21 @@ class TestMultiMeuCore:
         assert len(sets) == 1
         assert set_equal(sets[0], triangle.family.sets[0])
 
-    @pytest.mark.parametrize("case", ["urn"] + [f"random{seed}" for seed in range(10)])
+    @pytest.mark.parametrize(
+        "case",
+        ["urn"]
+        + [f"random{seed}" for seed in range(10)]
+        + [f"{variant}{seed}" for variant in ("dual_self", "choquet") for seed in range(5)],
+    )
     def test_same_sets_as_pruning_every_tag(self, urn_small, monkeypatch, case):
         if case == "urn":
             model = urn_small
         else:
-            rng = np.random.default_rng(int(case[6:]))
+            # random<seed> is a random cap model
+            kind = case.rstrip("0123456789")
+            rng = np.random.default_rng(int(case[len(kind) :]))
             states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
-            model = random_cap_model(states, rng, variant="cap")
+            model = random_cap_model(states, rng, variant="cap" if kind == "random" else kind)
         family = model.family
 
         def reference(sampler, n):
@@ -617,3 +625,10 @@ class TestMultiMeuCore:
         got = estimate_multi_meu_core(model, LotterySampler(model.states, seed=3), 50)
         assert len(pruned) == len(set(tags)) < len(tags)
         assert [M.matrix.tobytes() for M in got] == [M.matrix.tobytes() for M in want]
+
+    def test_scores_its_lotteries_in_one_kernel_call(self, monkeypatch):
+        model = model_5051(9)
+        calls, values = [], model_module._values
+        monkeypatch.setattr(model_module, "_values", lambda *args: calls.append(len(args[1])) or values(*args))
+        assert estimate_multi_meu_core(model, LotterySampler(model.states, seed=0), 50)
+        assert calls == [50]

@@ -22,6 +22,7 @@ from ambicap import (
     core_of_capacity,
     estimate_multi_meu_core,
     evaluate,
+    evaluate_many,
     evaluate_value,
     evaluate_values,
     mix_acts,
@@ -638,6 +639,102 @@ class TestBatchedKernel:
                 stack_lotteries([good, lottery], 3)
         with pytest.raises(ValueError, match="at least one lottery"):
             stack_lotteries([], 3)
+
+
+def _padded(rng, n_states):
+    """Zero-padded lotteries of 1 to 9 atoms each, as ``evaluate_values``
+    takes them, whose padding atoms have arbitrary finite payoffs; with the
+    atom counts."""
+    n_rows, width = int(rng.integers(1, 40)), int(rng.integers(1, 10))
+    sizes = rng.integers(1, width + 1, n_rows)
+    probs = np.zeros((n_rows, width))
+    payoffs = rng.uniform(-100.0, 300.0, (n_rows, width, n_states))
+    for i, a in enumerate(sizes):
+        probs[i, :a] = rng.dirichlet(np.ones(a))
+    return sizes, probs, payoffs
+
+
+def _bits(result):
+    """A result's value, certainty equivalent and perceptions, bit for bit."""
+    return result.value.hex(), result.certainty_equivalent.hex(), repr(result.optimal_perceptions)
+
+
+def _assert_rows_match_evaluate(model, sizes, probs, payoffs):
+    results = evaluate_many(model, probs, payoffs)
+    assert len(results) == len(sizes)
+    for i, a in enumerate(sizes):
+        want = evaluate(model, Lottery(model.states, probs[i, :a], payoffs[i, :a]))
+        assert _bits(results[i]) == _bits(want)
+    return results
+
+
+class TestEvaluateMany:
+    """``evaluate_many`` gives each row of a padded batch the result that
+    ``evaluate`` gives the row's lottery, bit for bit."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_finite_rows_match_evaluate(self, variant):
+        rng = np.random.default_rng(40 + VARIANTS.index(variant))
+        for _ in range(8):
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 7)))])
+            model = random_cap_model(states, rng, variant=variant)
+            _assert_rows_match_evaluate(model, *_padded(rng, len(states)))
+
+    def test_parametric_rows_match_evaluate(self):
+        ridge, ridge_lottery = _ridge_model(11)
+        models = [model_5051(g, v) for g in (1, 3, 11) for v in ("cap", "cautious")]
+        models += [CapModel(ridge.states, ridge.family, v) for v in ("cap", "dual_self", "double_maxmin")]
+        rng = np.random.default_rng(41)
+        for model in models:
+            for _ in range(3):
+                sizes, probs, payoffs = _padded(rng, len(model.states))
+                if model.family is ridge.family:
+                    # the ridge act, whose optimum only the LP reaches, off the grid
+                    sizes[0], probs[0] = 1, np.eye(probs.shape[1])[0]
+                    payoffs[0, 0] = ridge_lottery.payoff_matrix[0]
+                results = _assert_rows_match_evaluate(model, sizes, probs, payoffs)
+                if model.family is ridge.family and model.variant != "double_maxmin":
+                    grid = set(map(tuple, model.family.thetas.tolist()))
+                    assert not grid.issuperset(results[0].optimal_perceptions)
+
+    def test_rejected_rows_match_the_always_lp_evaluate(self, random_parametric_family, always_lp_evaluate):
+        rejected = 0
+        for seed in range(15):
+            rng = np.random.default_rng(400 + seed)
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            model = CapModel(states, random_parametric_family(states, rng, int(rng.integers(2, 8))), "cap")
+            lotteries, probs, payoffs = _sampled(LotterySampler(states, seed=seed), 8)
+            results = evaluate_many(model, probs, payoffs)
+            for i in np.flatnonzero(~_certificate(model, probs, payoffs)[0]):
+                assert _bits(results[i]) == _bits(always_lp_evaluate(model, lotteries[i]))
+                rejected += 1
+            assert [_bits(r) for r in results] == [_bits(evaluate(model, P)) for P in lotteries]
+        assert rejected > 60, rejected
+
+    def test_chunks_longer_than_one_kernel_split(self, monkeypatch, random_parametric_family):
+        calls, values = [], model_module._values
+        monkeypatch.setattr(model_module, "_values", lambda *args: calls.append(len(args[1])) or values(*args))
+        late_lp_rows = 0
+        for seed in range(6):
+            rng = np.random.default_rng(500 + seed)
+            states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+            model = CapModel(states, random_parametric_family(states, rng, int(rng.integers(2, 8))), "cap")
+            lotteries, probs, payoffs = _sampled(LotterySampler(states, seed=seed), 20)
+            step = 7
+            entries = step * len(model.family._stacked) * probs.shape[1]
+            monkeypatch.setattr(model_module, "_KERNEL_ENTRIES", entries)
+            calls.clear()
+            results = evaluate_many(model, probs, payoffs)
+            assert calls == [min(step, len(probs) - i) for i in range(0, len(probs), step)]
+            assert [_bits(r) for r in results] == [_bits(evaluate(model, P)) for P in lotteries]
+            assert evaluate_values(model, probs, payoffs).tolist() == [r.value for r in results]
+            late_lp_rows += int((~_certificate(model, probs, payoffs)[0][step:]).sum())
+        # rows past the first split reach the LP, keyed by their place in the chunk
+        assert late_lp_rows > 20, late_lp_rows
+
+    def test_rejects_arrays_of_the_wrong_shape(self, urn_model):
+        with pytest.raises(DimensionMismatchError):
+            evaluate_many(urn_model, np.ones((2, 1)), np.zeros((2, 1, 3)))
 
 
 class TestChoquetVariant:
