@@ -6,11 +6,14 @@
 Times the ``ambicap`` that Python imports:
 
     finite_evaluate_value_us       one ``evaluate_value`` on a 4-state finite
-                                   ``cap`` model, per call
+                                   ``cap`` model, per call, timed in fresh
+                                   processes (see below)
     finite_kernel_per_lottery_us   one ``evaluate_values`` call over the same
-                                   lotteries, per lottery
+                                   lotteries, per lottery, timed in fresh
+                                   processes
     sampler_draw_lottery_us        one ``LotterySampler.draw_lottery`` on 4
-                                   states, per lottery
+                                   states, per lottery, timed in fresh
+                                   processes
     sampler_chunk_per_trial_us     one 64-trial chunk of the ``A3-aepr``
                                    (timing) draw on 4 states, per trial
     parametric_kernel_per_lottery_us
@@ -39,10 +42,15 @@ Times the ``ambicap`` that Python imports:
                                    ``urn_parametric`` sizes (24 ambiguity and
                                    16 filtering samples) and the three
                                    500-sample orders of the acceptance test
-                                   ``test_c7_comparatives_coherence``
+                                   ``test_c7_comparatives_coherence``,
+                                   timed in fresh processes
+    order_values_calls             the ``ambicap.model._values`` calls of
+                                   the 500-sample ea order of c7, counted by
+                                   wrapping the function in this script
     c7_shares_ms                   the 2 000-pair
                                    ``shares_optimal_perception_detail``
-                                   loop of that acceptance test
+                                   loop of that acceptance test, timed in
+                                   fresh processes
     cost_estimate_ms               one ``estimate_cost_star`` as the
                                    ``identify`` workload sizes it: each of
                                    the 25 members of ``model_5051`` and
@@ -62,9 +70,11 @@ Times the ``ambicap`` that Python imports:
 
 A row timed in fresh processes is the median over processes, each
 importing the ``ambicap`` this script imports, of each one's best of
-``--repeats`` calls after a warm-up call, with the quartiles: in one long
+``--repeats`` calls, with the quartiles, in the row's unit: in one long
 process the best of 5 spreads up to 2x on unchanged code, depending on
-what ran before it.
+what ran before it, and some rows read two speeds across processes.  Each
+process times the family build first, then the three identification rows,
+each after a warm-up call, then the other rows.
 
 The timings go to ``runs[NAME]`` of the JSON file at ``--out``, which is
 created or updated, next to a ``machine`` block.  ``--out -`` prints the
@@ -143,40 +153,44 @@ def model_calls(name: str, fn) -> int:
 
 def fresh(call: str, processes: int) -> dict:
     """Median and quartiles, over ``processes`` fresh processes that import
-    the ``ambicap`` this script imports, of each entry of the dict of ms
+    the ``ambicap`` this script imports, of each timing in the nested dict
     that ``call``, an expression over this module's names, returns."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join((str(Path(ambicap.__file__).parents[1]), str(here), os.environ.get("PYTHONPATH", "")))
     env = dict(os.environ, PYTHONPATH=path)
-    command = [sys.executable, "-c", f"import json, bench_layers; print(json.dumps(bench_layers.{call}))"]
+    command = [sys.executable, "-c", f"import json; from bench_layers import *; print(json.dumps({call}))"]
     runs = [
         json.loads(subprocess.run(command, env=env, check=True, capture_output=True, text=True).stdout)
         for _ in range(processes)
     ]
 
-    def summary(ms):
-        low, _, high = statistics.quantiles(ms, n=4)
-        return {"processes": processes, "ms": statistics.median(ms), "quartiles": [low, high]}
+    def summary(values):
+        if isinstance(values[0], dict):
+            return {key: summary([value[key] for value in values]) for key in values[0]}
+        low, _, high = statistics.quantiles(values, n=4)
+        return {"processes": processes, "median": statistics.median(values), "quartiles": [low, high]}
 
-    return {key: summary([run[key] for run in runs]) for key in runs[0]}
+    return summary(runs)
 
 
 def family_build_ms(repeats: int) -> dict:
     """ms per ``family_5051(101)``, in this process."""
-    return {"build": warm_best_ms(repeats, lambda: family_5051(101))}
+    return {"parametric_family_build_ms": warm_best_ms(repeats, lambda: family_5051(101))}
+
+
+def finite_model():
+    """The 4-state finite ``cap`` model of the finite rows."""
+    return random_cap_model(StateSpace(["s0", "s1", "s2", "s3"]), np.random.default_rng(5), "cap")
 
 
 def finite_evaluation(repeats: int, n_lotteries: int) -> dict:
-    states = StateSpace(["s0", "s1", "s2", "s3"])
-    model = random_cap_model(states, np.random.default_rng(5), "cap")
-    sampler = LotterySampler(states, seed=1)
+    model = finite_model()
+    sampler = LotterySampler(model.states, seed=1)
     lotteries = [sampler.lottery() for _ in range(n_lotteries)]
-    probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], len(states))
+    probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], len(model.states))
     single = best_of(repeats, lambda: [evaluate_value(model, P) for P in lotteries])
     batched = best_of(repeats, lambda: evaluate_values(model, probs, payoffs))
     return {
-        "members": len(model.family),
-        "lotteries": n_lotteries,
         "finite_evaluate_value_us": single / n_lotteries * 1e6,
         "finite_kernel_per_lottery_us": batched / n_lotteries * 1e6,
     }
@@ -310,14 +324,27 @@ def order_ops(repeats: int, grid: int, op_samples: tuple, c7_samples: int) -> di
         return best_of(repeats, lambda: order(model, model, LotterySampler(model.states, seed=seed), n)) * 1e3
 
     return {
-        "grid": grid,
-        "op_samples": list(op_samples),
         "op_ambiguity": ms(more_tolerant_ambiguity, 1, op_samples[0]),
         "op_filtering": ms(higher_filtering_incentives, 2, op_samples[1]),
-        "c7_samples": c7_samples,
         "c7_ea_randomization": ms(more_tolerant_ea_randomization, 0, c7_samples),
         "c7_ambiguity": ms(more_tolerant_ambiguity, 1, c7_samples),
         "c7_filtering": ms(higher_filtering_incentives, 2, c7_samples),
+    }
+
+
+def ea_order_call(grid: int, samples: int):
+    """The c7 ea order: reflexive on ``model_5051(grid)``, sampler seed 0."""
+    model = model_5051(grid)
+    return lambda: more_tolerant_ea_randomization(model, model, LotterySampler(model.states, seed=0), samples)
+
+
+def process_timings(repeats: int, n_lotteries: int, grid: int, op_samples: tuple, c7_samples: int, c7_pairs: int) -> dict:
+    """The finite, sampler, order and c7 shares timings, in this process."""
+    return {
+        **finite_evaluation(repeats, n_lotteries),
+        "sampler_draw_lottery_us": sampler_draws(repeats, n_lotteries),
+        "order_ms": order_ops(repeats, grid, op_samples, c7_samples),
+        "c7_shares_ms": best_of(repeats, lambda: c7_shares(grid, c7_pairs)) * 1e3,
     }
 
 
@@ -343,34 +370,16 @@ def identification_ms(repeats: int, estimate_grid: int, grids: list, core_grid: 
     call, in this process."""
     dictionary = standard_bet_dictionary(STATES_4)
     members = urn_members(estimate_grid)
-    ms = {
-        "cost_estimate": warm_best_ms(repeats, lambda: [estimate_cost_star(m, M, dictionary, 5000) for m, M in members])
-        / len(members)
-    }
+    estimates = warm_best_ms(repeats, lambda: [estimate_cost_star(m, M, dictionary, 5000) for m, M in members])
+    audits = {}
     for make in (family_5051, family_reflection):
         for grid in grids:
             family = make(grid)
-            ms[f"{make.__name__}_{grid}"] = warm_best_ms(repeats, lambda: check_canonical(family))
-    ms["core"] = warm_best_ms(repeats, core_call(core_grid, core_samples))
-    return ms
-
-
-def identification_ops(
-    repeats: int, processes: int, estimate_grid: int, grids: tuple, core_grid: int, core_samples: int
-) -> dict:
-    """The ``identification_ms`` timings over fresh processes, and the
-    ``_values`` calls of one core call."""
-    ms = fresh(f"identification_ms({repeats}, {estimate_grid}, {list(grids)}, {core_grid}, {core_samples})", processes)
-    estimates, core = ms.pop("cost_estimate"), ms.pop("core")
+            audits[f"{make.__name__}_{grid}"] = warm_best_ms(repeats, lambda: check_canonical(family))
     return {
-        "cost_estimate_ms": {"grid": estimate_grid, "estimates": len(urn_members(estimate_grid)), **estimates},
-        "canonical_audit_ms": ms,
-        "core_ms": {"grid": core_grid, "samples": core_samples, **core},
-        "core_values_calls": {
-            "grid": core_grid,
-            "samples": core_samples,
-            "calls": model_calls("_values", core_call(core_grid, core_samples)),
-        },
+        "cost_estimate_ms": estimates / len(members),
+        "canonical_audit_ms": audits,
+        "core_ms": warm_best_ms(repeats, core_call(core_grid, core_samples)),
     }
 
 
@@ -399,13 +408,22 @@ def main() -> int:
     c7_samples, c7_pairs = (5, 20) if args.tiny else (500, 2000)
     estimate_grid, audit_grids, core_grid, core_samples = (2, (3,), 5, 10) if args.tiny else (5, (5, 7, 9, 11), 9, 50)
     processes = 2 if args.tiny else 9
+    # one call times every fresh-process row, each process in this order
+    timed = fresh(
+        f"family_build_ms({args.repeats})"
+        f" | identification_ms({args.repeats}, {estimate_grid}, {list(audit_grids)}, {core_grid}, {core_samples})"
+        f" | process_timings({args.repeats}, {n_lotteries}, {order_grid}, {order_samples}, {c7_samples}, {c7_pairs})",
+        processes,
+    )
+    rows = ("finite_evaluate_value_us", "finite_kernel_per_lottery_us", "sampler_draw_lottery_us")
     run = {
         "repeats": args.repeats,
-        **finite_evaluation(args.repeats, n_lotteries),
-        "sampler_draw_lottery_us": sampler_draws(args.repeats, n_lotteries),
+        "members": len(finite_model().family),
+        "lotteries": n_lotteries,
+        **{row: timed[row] for row in rows},
         "sampler_chunk_per_trial_us": sampler_chunk(args.repeats, max(1, n_lotteries // 64)),
         **parametric_evaluation(args.repeats, n_lotteries // 10),
-        "parametric_family_build_ms": fresh(f"family_build_ms({args.repeats})", processes)["build"],
+        "parametric_family_build_ms": timed["parametric_family_build_ms"],
         "check_axiom_ms": axiom_ops(args.repeats, trials),
         "check_axiom_trials": trials,
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
@@ -413,13 +431,26 @@ def main() -> int:
         "c4_trials": c4_trials,
         "parametric_lp_solves": parametric_lp_solves(n_lotteries // 10, order_grid, c7_samples),
         "evaluate_lp_solves": evaluate_lp_solves(order_grid, c7_pairs, core_grid, core_samples),
-        "order_ms": order_ops(args.repeats, order_grid, order_samples, c7_samples),
-        "c7_shares_ms": {
+        "order_ms": {
             "grid": order_grid,
-            "pairs": c7_pairs,
-            "ms": best_of(args.repeats, lambda: c7_shares(order_grid, c7_pairs)) * 1e3,
+            "op_samples": list(order_samples),
+            "c7_samples": c7_samples,
+            **timed["order_ms"],
         },
-        **identification_ops(args.repeats, processes, estimate_grid, audit_grids, core_grid, core_samples),
+        "order_values_calls": {
+            "grid": order_grid,
+            "samples": c7_samples,
+            "calls": model_calls("_values", ea_order_call(order_grid, c7_samples)),
+        },
+        "c7_shares_ms": {"grid": order_grid, "pairs": c7_pairs, **timed["c7_shares_ms"]},
+        "cost_estimate_ms": {"grid": estimate_grid, "estimates": len(urn_members(estimate_grid)), **timed["cost_estimate_ms"]},
+        "canonical_audit_ms": timed["canonical_audit_ms"],
+        "core_ms": {"grid": core_grid, "samples": core_samples, **timed["core_ms"]},
+        "core_values_calls": {
+            "grid": core_grid,
+            "samples": core_samples,
+            "calls": model_calls("_values", core_call(core_grid, core_samples)),
+        },
     }
     path = None if args.out == "-" else Path(args.out)
     doc = json.loads(path.read_text()) if path is not None and path.exists() else {"runs": {}}

@@ -36,7 +36,6 @@ from .model import (
     evaluate_value,
     evaluate_values,
     serialize_lottery,
-    stack_lotteries,
 )
 from .sampling import lottery_row
 from .stock import P_5051, STATES_4, acts_5051, auxiliary_acts
@@ -71,20 +70,7 @@ class AxiomReport:
 
 # A chunk maps each ingredient's key to (B,) floats, (B, S) acts or
 # zero-padded (B, A) / (B, A, S) lotteries; row i is trial i.  A witness
-# row read back for ``recheck_witness`` is stacked into a chunk of one.
-
-
-def _stack(model: CapModel, rows: list[dict]) -> dict:
-    chunk = {}
-    for key, first in rows[0].items():
-        column = [row[key] for row in rows]
-        if isinstance(first, tuple):
-            chunk[key] = stack_lotteries(column, len(model.states))
-        else:
-            chunk[key] = np.array(column, dtype=float)
-            if not np.isfinite(chunk[key]).all():
-                raise ValueError(f"trial ingredient {key!r} must be finite")
-    return chunk
+# is read back for ``recheck_witness`` as a chunk of one.
 
 
 def _serialize(model: CapModel, chunk: dict, w: int) -> dict:
@@ -107,18 +93,20 @@ _WEIGHT_KEYS = frozenset(["kappa", "lam"])
 
 
 def _deserialize(model: CapModel, data: dict) -> dict:
-    row = {}
+    chunk = {}
     for key, val in data.items():
         if key in _ACT_KEYS:
-            row[key] = UtilityAct(model.states, val).payoffs
+            chunk[key] = UtilityAct(model.states, val).payoffs[None]
         elif key in _LOTTERY_KEYS:
             P = Lottery(model.states, *zip(*val))
-            row[key] = (P.probs, P.payoff_matrix)
+            chunk[key] = (P.probs[None], P.payoff_matrix[None])
         elif key != "violation":
-            row[key] = float(val)
-            if key in _WEIGHT_KEYS and not 0.0 <= row[key] <= 1.0:
+            chunk[key] = np.array([val], dtype=float)
+            if not np.isfinite(chunk[key]).all():
+                raise ValueError(f"trial ingredient {key!r} must be finite")
+            if key in _WEIGHT_KEYS and not 0.0 <= chunk[key][0] <= 1.0:
                 raise ValueError(f"mixture weight {key}={val} outside [0, 1]")
-    return row
+    return chunk
 
 
 # lottery arithmetic over a chunk: the array forms of Lottery.dirac,
@@ -146,9 +134,9 @@ def _mix_acts(lam, f, g):
     return w * f + (1.0 - w) * g
 
 
-def _values(model: CapModel, *lotteries) -> np.ndarray:
-    """(len(lotteries), B) values of stacked lotteries, from one
-    ``evaluate_values`` call."""
+def _rows(model: CapModel, *lotteries) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of stacked lotteries, lottery after lottery, as one
+    zero-padded ``(probs, payoffs)`` pair of the widest width."""
     n_rows = len(lotteries[0][0])
     width = max(p.shape[1] for p, _ in lotteries)
     probs = np.zeros((len(lotteries), n_rows, width))
@@ -156,10 +144,13 @@ def _values(model: CapModel, *lotteries) -> np.ndarray:
     for i, (p, x) in enumerate(lotteries):
         probs[i, :, : p.shape[1]] = p
         payoffs[i, :, : p.shape[1]] = x
-    values = evaluate_values(
-        model, probs.reshape(-1, width), payoffs.reshape(-1, width, len(model.states))
-    )
-    return values.reshape(len(lotteries), n_rows)
+    return probs.reshape(-1, width), payoffs.reshape(-1, width, len(model.states))
+
+
+def _values(model: CapModel, *lotteries) -> np.ndarray:
+    """(len(lotteries), B) values of stacked lotteries, from one
+    ``evaluate_values`` call."""
+    return evaluate_values(model, *_rows(model, *lotteries)).reshape(len(lotteries), -1)
 
 
 def _iff_violation(d1, d2):
@@ -387,7 +378,7 @@ def recheck_witness(
     tolerance; returns (still_violated, magnitude)."""
     if axiom_id not in _AXIOM_TABLE:
         raise ValueError(f"unknown axiom id {axiom_id!r}; expected one of {AXIOM_IDS}")
-    chunk = _stack(model, [_deserialize(model, witness)])
+    chunk = _deserialize(model, witness)
     magnitude = float(_AXIOM_TABLE[axiom_id][1](model, chunk)[0])
     return magnitude > tol, magnitude
 

@@ -5,13 +5,14 @@ Definitions quantify over all lotteries; they are checked on seeded sample
 streams, so a holds-verdict means "no counterexample found in n samples"
 while a fails-verdict carries a re-verifiable witness.
 
-The ambiguity and filtering orders score samples in chunks of 1 to 64 with
-the axiom checks' driver.  A sample is one fixed-width row of the sampler's
-uniforms and a chunk is one ``rng.random`` call, so the chunk size never
-changes a sample: the same seed gives the same witness as one sample at a
-time, and the sampler ends after the reported sample.  The ea order goes
-pair by pair, because its cross-check logs every pair it scores.
-"""
+All three orders score samples in chunks of 1 to 64 with the axiom
+checks' driver.  A sample is one fixed-width row of the sampler's uniforms
+and a chunk is one ``rng.random`` call, so the chunk size never changes a
+sample: the same seed gives the same witness as one sample at a time, and
+the sampler ends after the reported sample.  The ea order logs the
+``shares_optimal_perception`` cross-check notes of the pairs up to its
+witness, in pair order and model2's before model1's, as one pair at a time
+would."""
 
 from __future__ import annotations
 
@@ -20,18 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import _constant, _first_violation, _mix, _values
+from .axioms import _constant, _first_violation, _mix, _rows, _values
 from .geometry import _check_same_states, is_subset
 from .model import (
     CapModel,
     FiniteFamily,
     Lottery,
     evaluate_many,
-    evaluate_value,
     evaluate_values,
-    mix_lotteries,
     serialize_lottery,
-    stack_lotteries,
 )
 from .sampling import lottery_row
 
@@ -77,22 +75,45 @@ def perceptions_intersect(tags1, tags2) -> bool:
     return False
 
 
+def _shares(model: CapModel, P, Q):
+    """(linear, intersects) of each row of the chunk lotteries P and Q.  One
+    ``evaluate_many`` call scores the P and Q rows, then one
+    ``evaluate_values`` call per mixture weight the rows still linear, so a
+    row stops at its first nonaffine mixture."""
+    B = len(P[0])
+    results = evaluate_many(model, *_rows(model, P, Q))
+    vP, vQ = np.array([r.value for r in results]).reshape(2, B)
+    tags = [r.optimal_perceptions for r in results]
+    intersects = np.array([perceptions_intersect(a, b) for a, b in zip(tags[:B], tags[B:])])
+    linear = np.ones(B, dtype=bool)
+    for lam in _SHARES_LAMBDAS:
+        rows = np.flatnonzero(linear)
+        if not rows.size:
+            break
+        mixed = evaluate_values(model, *_mix(np.full(rows.size, lam), _take(P, rows), _take(Q, rows)))
+        linear[rows] = np.abs(mixed - (lam * vP[rows] + (1.0 - lam) * vQ[rows])) <= SHARES_TOL
+    return linear, intersects
+
+
+def _take(lotteries, rows):
+    return lotteries[0][rows], lotteries[1][rows]
+
+
 def shares_optimal_perception_detail(model: CapModel, P: Lottery, Q: Lottery):
     """(linear, intersects): affine value along the segment, and whether the
-    two optimal-perception sets overlap.  P and Q are scored by one
-    ``evaluate_many`` call, the mixtures one at a time."""
+    two optimal-perception sets overlap; ``_shares`` on a batch of one."""
     _require_cap(model)
     _check_same_states(model, P)
     _check_same_states(model, Q)
-    pair = stack_lotteries([(P.probs, P.payoff_matrix), (Q.probs, Q.payoff_matrix)], len(model.states))
-    rP, rQ = evaluate_many(model, *pair)
-    linear = True
-    for lam in _SHARES_LAMBDAS:
-        mixed = evaluate_value(model, mix_lotteries(lam, P, Q))
-        if abs(mixed - (lam * rP.value + (1.0 - lam) * rQ.value)) > SHARES_TOL:
-            linear = False
-            break
-    return linear, perceptions_intersect(rP.optimal_perceptions, rQ.optimal_perceptions)
+    linear, intersects = _shares(model, *((X.probs[None], X.payoff_matrix[None]) for X in (P, Q)))
+    return bool(linear[0]), bool(intersects[0])
+
+
+def _disagreement(P: Lottery, Q: Lottery, linear: bool, intersects: bool, diagnostics: list | None = None):
+    note = {"P": serialize_lottery(P), "Q": serialize_lottery(Q), "linear": linear, "argmax_intersects": intersects}
+    log.warning("shares_optimal_perception cross-check disagreement: %s", note)
+    if diagnostics is not None:
+        diagnostics.append(note)
 
 
 def shares_optimal_perception(
@@ -106,15 +127,7 @@ def shares_optimal_perception(
     """
     linear, intersects = shares_optimal_perception_detail(model, P, Q)
     if linear != intersects:
-        note = {
-            "P": serialize_lottery(P),
-            "Q": serialize_lottery(Q),
-            "linear": linear,
-            "argmax_intersects": intersects,
-        }
-        log.warning("shares_optimal_perception cross-check disagreement: %s", note)
-        if diagnostics is not None:
-            diagnostics.append(note)
+        _disagreement(P, Q, linear, intersects, diagnostics)
     return linear
 
 
@@ -125,17 +138,29 @@ def more_tolerant_ea_randomization(
     must be too."""
     _require_cap(model1, model2)
     _require_samples(n)
-    for i in range(n):
-        P, Q = sampler.pair()
-        if shares_optimal_perception(model2, P, Q) and not shares_optimal_perception(
-            model1, P, Q
-        ):
-            return ComparativeVerdict(
-                False,
-                {"P": serialize_lottery(P), "Q": serialize_lottery(Q)},
-                i + 1,
-            )
-    return ComparativeVerdict(True, None, n)
+
+    def scan(model, c):
+        linear2, intersects2 = _shares(model2, c["P"], c["Q"])
+        # model1 scores only the pairs that model2 values affinely
+        linear1, intersects1 = np.ones_like(linear2), np.ones_like(linear2)
+        kept = np.flatnonzero(linear2)
+        if kept.size:
+            linear1[kept], intersects1[kept] = _shares(model1, _take(c["P"], kept), _take(c["Q"], kept))
+        flags = ~linear1
+        for i in range(np.argmax(flags) + 1 if flags.any() else len(flags)):
+            for linear, intersects in ((linear2, intersects2), (linear1, intersects1)):
+                if linear[i] != intersects[i]:
+                    pair = (Lottery(model.states, *lottery_row(c[key], i)) for key in "PQ")
+                    _disagreement(*pair, bool(linear[i]), bool(intersects[i]))
+        return flags, {}
+
+    used, witness = _first_violation(model1, sampler, n, _draw_pair, scan)
+    return ComparativeVerdict(witness is None, witness, used)
+
+
+def _draw_pair(model, sampler, B):
+    ((P, Q),) = sampler.chunk(B, "pair")
+    return {"P": P, "Q": Q}
 
 
 def more_tolerant_ambiguity(

@@ -275,13 +275,10 @@ class ParametricFamily(_Candidates):
     candidates are the members at the grid points ``thetas``, in
     lexicographic order.  Only ``_template`` evaluates the template, its
     costs through ``_costs``, which ``cost_at`` calls alone; every cost is
-    clipped by ``np.maximum(cost, 0.0)``.  So at a grid point ``member_at``
-    and the MEU of ``meu_at`` equal the grid bit for bit, and so do
-    ``cost_at`` and the costs of ``meu_at`` with up to 7 parameters; with 8
-    or more, OpenBLAS's matrix-vector product can round one row's cost
-    differently in a product of another number of rows, so these costs
-    may differ from the grid's in the last bit.  ``to_finite`` holds the
-    grid's own members and costs.
+    clipped by ``np.maximum(cost, 0.0)``.  ``einsum`` sums each vertex entry
+    and each cost in one order whatever the number of thetas, so at a grid
+    point ``member_at``, ``cost_at`` and ``meu_at`` equal the grid bit for
+    bit.  ``to_finite`` holds the grid's own members and costs.
     """
 
     __slots__ = (
@@ -369,18 +366,14 @@ class ParametricFamily(_Candidates):
 
     def _template(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """Vertex blocks (n, n_vertices, n_states) and unclipped costs of
-        the members at the n rows of ``thetas``; ``einsum`` sums each
-        vertex entry in one order whatever n."""
+        the members at the n rows of ``thetas``."""
         thetas = np.array(thetas, dtype=float, ndmin=2)
         verts = self.vertex_base + np.einsum("ck,kvn->cvn", thetas, self.vertex_coefs)
         return verts, self._costs(thetas)
 
     def _costs(self, thetas: np.ndarray) -> np.ndarray:
-        """The template's unclipped costs at the rows of a 2-D ``thetas``.
-        BLAS prices a single row by a dot product, which rounds unlike its
-        matrix-vector product, so one theta is priced as two equal rows."""
-        rows = np.concatenate((thetas, thetas)) if len(thetas) == 1 else thetas
-        return self.cost_base + (rows @ self.cost_coefs)[: len(thetas)]
+        """The template's unclipped costs at the rows of a 2-D ``thetas``."""
+        return self.cost_base + np.einsum("ck,k->c", thetas, self.cost_coefs)
 
     def meu_at(self, thetas, payoff_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``meu_matrix`` and ``costs`` of the members at the rows of

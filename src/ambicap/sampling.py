@@ -7,7 +7,7 @@ is one ``rng.random((B, K))`` call.  Each ingredient is an exact transform
 of its own columns of the row.  A chunk of B rows therefore equals B chunks
 of one row bit for bit and leaves the generator in the same state: the
 chunk size never changes a draw.  ``uniform``, ``payoff``, ``act``,
-``lottery``, ``pair`` and their ``draw_*`` forms are the chunk of one.
+``lottery``, ``pair`` and ``draw_lottery`` are the chunk of one.
 
 Verdicts produced from these streams are reproducible: the seed fully
 determines every draw, and optional probe lists are consumed first so that
@@ -159,12 +159,8 @@ class LotterySampler:
     def payoff(self) -> float:
         return float(self.chunk(1, "payoff")[0][0])
 
-    def draw_act(self) -> np.ndarray:
-        """Payoff vector of the next act, unchecked."""
-        return self.chunk(1, "act")[0][0]
-
     def act(self) -> UtilityAct:
-        return UtilityAct(self.states, self.draw_act())
+        return UtilityAct(self.states, self.chunk(1, "act")[0][0])
 
     def constant_lottery(self) -> Lottery:
         return Lottery.constant(self.states, self.payoff())
@@ -174,18 +170,13 @@ class LotterySampler:
         probe's arrays, or a random draw."""
         return lottery_row(self.chunk(1, "lottery")[0], 0)
 
-    def draw_pair(self) -> tuple[tuple, tuple]:
-        """The next pair as two ``draw_lottery`` results: a pair probe's
-        arrays, or two random lotteries (a pair takes no lottery probes)."""
-        P, Q = self.chunk(1, "pair")[0]
-        return lottery_row(P, 0), lottery_row(Q, 0)
-
     def lottery(self) -> Lottery:
         return Lottery(self.states, *self.draw_lottery())
 
     def pair(self) -> tuple[Lottery, Lottery]:
-        P, Q = self.draw_pair()
-        return Lottery(self.states, *P), Lottery(self.states, *Q)
+        """The next pair probe, or two random lotteries (pairs take no lottery probes)."""
+        P, Q = self.chunk(1, "pair")[0]
+        return Lottery(self.states, *lottery_row(P, 0)), Lottery(self.states, *lottery_row(Q, 0))
 
     def checkpoint(self):
         """Everything later draws depend on: the generator state and the

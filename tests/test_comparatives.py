@@ -14,6 +14,7 @@ from ambicap import (
     Prior,
     StateSpace,
     dominates_benefit,
+    evaluate,
     evaluate_value,
     higher_filtering_incentives,
     more_tolerant_ambiguity,
@@ -21,7 +22,7 @@ from ambicap import (
     shares_optimal_perception,
     shares_optimal_perception_detail,
 )
-from ambicap.comparatives import SHARES_TOL
+from ambicap.comparatives import SHARES_TOL, perceptions_intersect
 from ambicap.model import mix_lotteries, serialize_lottery
 from ambicap.sampling import LotterySampler, lottery_row, random_cap_model
 from ambicap.stock import (
@@ -207,7 +208,7 @@ class TestFilteringIncentives:
         assert d2 >= 0.0 and d1 < -SHARES_TOL
 
 
-# The per-sample loops the two chunked orders replaced, kept as the reference
+# The per-sample loops the chunked orders replaced, kept as the reference
 # they must reproduce: same verdicts, same witnesses, same sampler state.
 
 
@@ -247,6 +248,40 @@ def _reference_filtering(model1, model2, sampler, n):
     return ComparativeVerdict(True, None, n)
 
 
+def _reference_shares(model, P, Q, scored=None):
+    """The pair-by-pair shares test: P and Q evaluated, then the mixtures
+    at lam = 0.1, ..., 0.9 one at a time up to the first nonaffine one,
+    each counted in ``scored``."""
+    rP, rQ = evaluate(model, P), evaluate(model, Q)
+    linear = True
+    for lam in np.linspace(0.1, 0.9, 9):
+        if scored is not None:
+            scored.append(lam)
+        mixed = evaluate_value(model, mix_lotteries(lam, P, Q))
+        if abs(mixed - (lam * rP.value + (1.0 - lam) * rQ.value)) > ambicap.comparatives.SHARES_TOL:
+            linear = False
+            break
+    return linear, ambicap.comparatives.perceptions_intersect(rP.optimal_perceptions, rQ.optimal_perceptions)
+
+
+def _reference_ea(model1, model2, sampler, n, notes=None):
+    """The pair-by-pair ea order; each cross-check disagreement's log
+    message is appended to ``notes``."""
+
+    def shares(model, P, Q):
+        linear, intersects = _reference_shares(model, P, Q)
+        if linear != intersects and notes is not None:
+            note = {"P": serialize_lottery(P), "Q": serialize_lottery(Q), "linear": linear, "argmax_intersects": intersects}
+            notes.append(f"shares_optimal_perception cross-check disagreement: {note}")
+        return linear
+
+    for i in range(n):
+        P, Q = sampler.pair()
+        if shares(model2, P, Q) and not shares(model1, P, Q):
+            return ComparativeVerdict(False, {"P": serialize_lottery(P), "Q": serialize_lottery(Q)}, i + 1)
+    return ComparativeVerdict(True, None, n)
+
+
 class TestOrdersMatchPerSampleLoops:
     @staticmethod
     def _pairs():
@@ -265,6 +300,7 @@ class TestOrdersMatchPerSampleLoops:
         (
             (more_tolerant_ambiguity, _reference_ambiguity),
             (higher_filtering_incentives, _reference_filtering),
+            (more_tolerant_ea_randomization, _reference_ea),
         ),
     )
     def test_same_verdicts_and_next_draw(self, order, reference):
@@ -279,6 +315,50 @@ class TestOrdersMatchPerSampleLoops:
                 assert chunked.uniform() == looped.uniform()
                 mid_chunk += not verdict.holds and verdict.samples_used not in chunk_ends
         assert mid_chunk >= 3
+
+    @pytest.mark.parametrize(
+        "name, patched",
+        (("SHARES_TOL", 2.0), ("perceptions_intersect", lambda a, b: not perceptions_intersect(a, b))),
+    )
+    def test_ea_order_logs_the_reference_notes_in_order(self, monkeypatch, caplog, name, patched):
+        # a loose tolerance makes linearity and argmax overlap disagree on
+        # many pairs, before and after the witnesses; a negated overlap
+        # test makes both models disagree, with different notes, on every
+        # witness pair
+        monkeypatch.setattr(ambicap.comparatives, name, patched)
+        failing, noted = 0, 0
+        for model1, model2 in self._pairs():
+            for seed in range(2):
+                notes = []
+                reference = _reference_ea(model1, model2, LotterySampler(model1.states, seed=seed), 60, notes)
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="ambicap.comparatives"):
+                    verdict = more_tolerant_ea_randomization(model1, model2, LotterySampler(model1.states, seed=seed), 60)
+                assert verdict == reference
+                assert [r.getMessage() for r in caplog.records] == notes
+                failing += not verdict.holds
+                noted += len(notes) > 0
+        assert failing >= 3 and noted >= 3
+
+    def test_shares_scores_the_mixtures_of_the_pair_loop(self, urn, monkeypatch):
+        # c7's pair stream; a row stops at its first nonaffine mixture, so
+        # scoring all 9 weights at once would score more rows
+        def counted(model, probs, payoffs):
+            rows.append(len(probs))
+            return evaluate_values(model, probs, payoffs)
+
+        rows, scored = [], []
+        evaluate_values = ambicap.comparatives.evaluate_values
+        monkeypatch.setattr(ambicap.comparatives, "evaluate_values", counted)
+        sampler = LotterySampler(urn.states, seed=3)
+        linear = 0
+        for _ in range(300):
+            P, Q = sampler.pair()
+            detail = shares_optimal_perception_detail(urn, P, Q)
+            assert detail == _reference_shares(urn, P, Q, scored)
+            linear += detail[0]
+        assert sum(rows) == len(scored)
+        assert 0 < linear < 300
 
 
 class TestDominatesBenefit:

@@ -271,17 +271,17 @@ class TestParametricTemplate:
                 assert np.array_equal(meu, family.meu_matrix(payoffs)[i : i + 1])
                 assert costs.tolist() == [family.costs[i]]
 
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_point_costs_equal_the_grid_up_to_seven_params(self, k):
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_point_costs_equal_the_grid_up_to_twelve_params(self, k):
         # a BLAS matrix-vector product may round a row of 8 or more terms
-        # unlike a product of another number of rows; up to 7 it does not
+        # unlike a product of another number of rows; einsum does not
         rng = np.random.default_rng(k)
         states = StateSpace(["a", "b", "c"])
         base = rng.dirichlet(np.ones(3), size=2)
         coefs = np.stack([(rng.dirichlet(np.ones(3), size=2) - base) / k for _ in range(k)])
         cost_coefs = rng.uniform(-5.0, 5.0, k)
         cost_base = -np.minimum(cost_coefs, 0.0).sum()
-        family = ParametricFamily(states, base, coefs, cost_base, cost_coefs, 3)
+        family = ParametricFamily(states, base, coefs, cost_base, cost_coefs, 3 if k < 8 else 2)
         payoffs = rng.normal(size=(2, 3))
         grid_meu = family.meu_matrix(payoffs)
         for i, theta in enumerate(family.thetas):
