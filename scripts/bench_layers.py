@@ -15,13 +15,20 @@ Times the ``ambicap`` that Python imports:
                                    states, per lottery, timed in fresh
                                    processes
     sampler_chunk_per_trial_us     one 64-trial chunk of the ``A3-aepr``
-                                   (timing) draw on 4 states, per trial
+                                   (timing) draw on 4 states, per trial,
+                                   timed in fresh processes
     parametric_kernel_per_lottery_us
                                    one ``evaluate_values`` call on the grid-11
                                    urn ``model_5051``, per lottery, for
-                                   ``cap`` and ``cautious``
+                                   ``cap`` and ``cautious``, timed in fresh
+                                   processes
     parametric_evaluate_value_us   one ``evaluate_value`` on the grid-101 urn,
-                                   per call, for ``cap`` and ``cautious``
+                                   per call, for ``cap`` and ``cautious``,
+                                   timed in fresh processes
+    parametric_evaluate_us         one ``evaluate``, with its perception
+                                   list, on the grid-101 urn, per call, for
+                                   ``cap`` and ``cautious``, timed in fresh
+                                   processes
     parametric_family_build_ms     one ``family_5051(101)``, timed in
                                    fresh processes (see below)
     parametric_lp_solves           ``_parametric_lp_max`` calls made by the
@@ -34,7 +41,8 @@ Times the ``ambicap`` that Python imports:
                                    whose LPs all come from ``evaluate``
     check_axiom_ms                 one 150-trial ``check_axiom`` per variant,
                                    the mean over the variant's necessary
-                                   axioms (A1 aside)
+                                   axioms (A1 aside), timed in fresh
+                                   processes
     c4_body_s                      the body of the acceptance test
                                    ``test_c4_axiom_necessity_suite``
     order_ms                       one reflexive call of a tolerance order on
@@ -74,7 +82,8 @@ importing the ``ambicap`` this script imports, of each one's best of
 process the best of 5 spreads up to 2x on unchanged code, depending on
 what ran before it, and some rows read two speeds across processes.  Each
 process times the family build first, then the three identification rows,
-each after a warm-up call, then the other rows.
+each after a warm-up call, then the other rows.  Only ``c4_body_s`` and
+the counts run in this process.
 
 The timings go to ``runs[NAME]`` of the JSON file at ``--out``, which is
 created or updated, next to a ``machine`` block.  ``--out -`` prints the
@@ -101,6 +110,7 @@ from ambicap import (
     check_canonical,
     estimate_cost_star,
     estimate_multi_meu_core,
+    evaluate,
     evaluate_value,
     evaluate_values,
     higher_filtering_incentives,
@@ -222,7 +232,7 @@ def urn_batch(variant: str, n_lotteries: int):
 
 
 def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
-    kernel, single = {}, {}
+    kernel, single, listed = {}, {}, {}
     for variant in ("cap", "cautious"):
         model, lotteries, probs, payoffs = urn_batch(variant, n_lotteries)
         batched = best_of(repeats, lambda: evaluate_values(model, probs, payoffs))
@@ -231,9 +241,12 @@ def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
         lotteries = lotteries[: max(1, n_lotteries // 10)]
         calls = best_of(repeats, lambda: [evaluate_value(fine, P) for P in lotteries])
         single[variant] = calls / len(lotteries) * 1e6
+        calls = best_of(repeats, lambda: [evaluate(fine, P) for P in lotteries])
+        listed[variant] = calls / len(lotteries) * 1e6
     return {
         "parametric_kernel_per_lottery_us": kernel,
         "parametric_evaluate_value_us": single,
+        "parametric_evaluate_us": listed,
     }
 
 
@@ -338,11 +351,17 @@ def ea_order_call(grid: int, samples: int):
     return lambda: more_tolerant_ea_randomization(model, model, LotterySampler(model.states, seed=0), samples)
 
 
-def process_timings(repeats: int, n_lotteries: int, grid: int, op_samples: tuple, c7_samples: int, c7_pairs: int) -> dict:
-    """The finite, sampler, order and c7 shares timings, in this process."""
+def process_timings(
+    repeats: int, n_lotteries: int, trials: int, grid: int, op_samples: tuple, c7_samples: int, c7_pairs: int
+) -> dict:
+    """The evaluator, sampler, axiom, order and c7 shares timings, in this
+    process."""
     return {
         **finite_evaluation(repeats, n_lotteries),
         "sampler_draw_lottery_us": sampler_draws(repeats, n_lotteries),
+        "sampler_chunk_per_trial_us": sampler_chunk(repeats, max(1, n_lotteries // 64)),
+        **parametric_evaluation(repeats, n_lotteries // 10),
+        "check_axiom_ms": axiom_ops(repeats, trials),
         "order_ms": order_ops(repeats, grid, op_samples, c7_samples),
         "c7_shares_ms": best_of(repeats, lambda: c7_shares(grid, c7_pairs)) * 1e3,
     }
@@ -412,19 +431,25 @@ def main() -> int:
     timed = fresh(
         f"family_build_ms({args.repeats})"
         f" | identification_ms({args.repeats}, {estimate_grid}, {list(audit_grids)}, {core_grid}, {core_samples})"
-        f" | process_timings({args.repeats}, {n_lotteries}, {order_grid}, {order_samples}, {c7_samples}, {c7_pairs})",
+        f" | process_timings({args.repeats}, {n_lotteries}, {trials}, {order_grid}, {order_samples}, {c7_samples}, {c7_pairs})",
         processes,
     )
-    rows = ("finite_evaluate_value_us", "finite_kernel_per_lottery_us", "sampler_draw_lottery_us")
+    rows = (
+        "finite_evaluate_value_us",
+        "finite_kernel_per_lottery_us",
+        "sampler_draw_lottery_us",
+        "sampler_chunk_per_trial_us",
+        "parametric_kernel_per_lottery_us",
+        "parametric_evaluate_value_us",
+        "parametric_evaluate_us",
+        "parametric_family_build_ms",
+        "check_axiom_ms",
+    )
     run = {
         "repeats": args.repeats,
         "members": len(finite_model().family),
         "lotteries": n_lotteries,
         **{row: timed[row] for row in rows},
-        "sampler_chunk_per_trial_us": sampler_chunk(args.repeats, max(1, n_lotteries // 64)),
-        **parametric_evaluation(args.repeats, n_lotteries // 10),
-        "parametric_family_build_ms": timed["parametric_family_build_ms"],
-        "check_axiom_ms": axiom_ops(args.repeats, trials),
         "check_axiom_trials": trials,
         "c4_body_s": best_of(args.repeats, lambda: c4_body(c4_models, c4_trials)),
         "c4_models": c4_models,

@@ -198,9 +198,8 @@ def estimate_cost_star(
     if isinstance(family, FiniteFamily):
         Hmat, costs = family.meu_matrix(payoffs), family.costs
     else:
-        # the grid's corners, in the lexicographic order on which the cost LP's first cheapest row depends
-        corners = family.thetas[((family.thetas == 0.0) | (family.thetas == 1.0)).all(axis=1)]
-        Hmat, costs = family.meu_at(corners, payoffs)
+        # the corners, in the lexicographic order on which the cost LP's first cheapest row depends
+        Hmat, costs = family.meu_at(family.corners, payoffs)
 
     while True:
         w = _menu_lp(h, Hmat, costs, budget)

@@ -13,25 +13,35 @@ functional forms:
 
 Every value is exact.  A family is a list of candidate belief sets with
 costs: a finite family's members, or a parametric family's grid points,
-which hold every box corner.  One kernel, ``evaluate_values``, scores every
-candidate on a batch of zero-padded lotteries, and ``evaluate_many`` adds
+which hold every box corner.  One kernel, ``evaluate_values``, scores the
+candidates on a batch of zero-padded lotteries, and ``evaluate_many`` adds
 each row's perceptions; a single ``evaluate`` or ``evaluate_value`` is a
 batch of one, so a candidate's score does not depend on the batch it is
 scored in.  On a parametric family each variant's score is concave and
-piecewise linear in theta, so the min variants take the grid minimum,
-which a concave score attains at a corner.
-The max variants take the grid maximum where a supergradient at the best
-grid point certifies it as the box optimum (``_certified``, vectorised
-over a batch), and solve the score's epigraph LP over the whole box with
-the package's simplex kernel, one lottery at a time, only where the
-certificate fails.  ``_values`` holds this rule for every caller;
+piecewise linear in theta.  ``_corners_first`` scores the 2^k corners,
+then bounds every other grid point's score from the corners: by the
+supergradient of the best corner, which ``_certified`` proves the box
+optimum, for the max variants, and by the multilinear interpolation of
+the corner scores for the min variants.  Only the grid points that the
+bound, widened by a rounding margin, cannot rule out are scored, so the
+best grid score, the first best grid point and the grid points within
+eps_opt of the value are the whole grid's, bit for bit; a row the bound
+cannot decide scores the whole grid.  The min variants take the grid
+minimum, which a concave score attains at a corner.  The max variants
+keep the grid maximum where ``_certified`` proves the first best grid
+point the box optimum, and solve the score's epigraph LP over the whole
+box with the package's simplex kernel, one lottery at a time, only where
+it fails.  ``_values`` holds this rule for every caller;
 ``evaluate_many`` reads each row's perception list from the same scores,
 so the list holds the LP's optimum only on a row the certificate rejects,
-and ``evaluate`` is its batch of one.
+and ``evaluate`` is its batch of one.  A parametric family checks its
+template at the corners and builds its grid only for the callers that
+read it: ``meu_matrix``, ``to_finite``, ``check_canonical`` and rows
+that need the whole grid.
 
 Each formula is computed once: ``_meu`` is the MEU kernel of every
 candidate row, and ``ParametricFamily._template`` is the only evaluation
-of a parametric template, for the grid and for any theta alike.
+of a parametric template, for the grid, the corners and any theta alike.
 
 Values are utils throughout; the certainty equivalent of a lottery equals
 its value.
@@ -40,6 +50,7 @@ its value.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -223,6 +234,20 @@ class _Candidates:
         return _meu(self._stacked, self._offsets, payoff_matrix)
 
 
+class _Members(_Candidates):
+    """A parametric family's members at n points, from their (n,
+    n_vertices, n_states) vertex blocks and unclipped costs, which are
+    clipped at 0."""
+
+    __slots__ = ("costs", "_stacked", "_offsets")
+
+    def __init__(self, verts: np.ndarray, costs: np.ndarray):
+        n, n_vertices, n_states = verts.shape
+        self.costs = _readonly(np.maximum(costs, 0.0))
+        self._stacked = _readonly(verts.reshape(-1, n_states))
+        self._offsets = np.arange(n) * n_vertices
+
+
 class FiniteFamily(_Candidates):
     """Finite list of (BeliefSet, cost) pairs with a grounded cost."""
 
@@ -270,15 +295,25 @@ class ParametricFamily(_Candidates):
 
     Member(theta) has vertex matrix ``vertex_base + sum_i theta_i *
     vertex_coefs[i]``; cost(theta) = ``cost_base + cost_coefs . theta``,
-    clipped at 0.  Vertices must be valid priors at every grid point, which
-    (entries being affine in theta) makes them valid on the whole box.  The
-    candidates are the members at the grid points ``thetas``, in
-    lexicographic order.  Only ``_template`` evaluates the template, its
-    costs through ``_costs``, which ``cost_at`` calls alone; every cost is
-    clipped by ``np.maximum(cost, 0.0)``.  ``einsum`` sums each vertex entry
-    and each cost in one order whatever the number of thetas, so at a grid
-    point ``member_at``, ``cost_at`` and ``meu_at`` equal the grid bit for
-    bit.  ``to_finite`` holds the grid's own members and costs.
+    clipped at 0.  Every vertex entry, every row sum and the cost are affine
+    in theta, so each attains its minimum and its largest distance from a
+    constant over the box at one of the 2^k ``corners`` (an affine function
+    on a convex combination of corners is that combination of its corner
+    values).  The template is therefore checked at the corners alone: row
+    sums within 1e-12 of 1 and entries at least -1e-12 there make every
+    member of the box a valid prior up to the rounding of its own
+    evaluation, and the cost's minimum over the box is its least corner
+    cost.  ``corners`` lists them in lexicographic order.
+
+    The candidates are the members at the ``len(family)`` grid points
+    ``thetas``, in lexicographic order; ``thetas``, ``costs``, ``_stacked``
+    and ``_offsets`` are built together on first use and kept.  Only
+    ``_template`` evaluates the template, its costs through ``_costs``,
+    which ``cost_at`` calls alone; every cost is clipped by
+    ``np.maximum(cost, 0.0)``.  ``einsum`` sums each vertex entry and each
+    cost in one order whatever the number of thetas, so at a grid point
+    ``member_at``, ``cost_at`` and ``meu_at`` equal the grid bit for bit.
+    ``to_finite`` holds the grid's own members and costs.
     """
 
     __slots__ = (
@@ -289,10 +324,11 @@ class ParametricFamily(_Candidates):
         "cost_coefs",
         "grid_resolution",
         "param_names",
-        "thetas",
-        "costs",
-        "_stacked",
-        "_offsets",
+        "corners",
+        "_axis",
+        "_at_corners",
+        "_corner_positions",
+        "_grid",
     )
 
     def __init__(
@@ -332,37 +368,63 @@ class ParametricFamily(_Candidates):
         object.__setattr__(self, "cost_base", float(cost_base))
         object.__setattr__(self, "cost_coefs", _readonly(cvec))
 
-        # both ends are on every axis, so the grid holds the 2^k corners
-        axis = np.linspace(0.0, 1.0, max(grid_resolution, 2))
-        thetas = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-        verts, costs = self._template(thetas)
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+        verts, costs = self._template(corners)
         sum_errors = np.abs(verts.sum(axis=2) - 1.0)
         if sum_errors.max() > 1e-12 or verts.min() < -1e-12:
-            # the grid point with the worst row-sum error or negative entry
+            # the corner with the worst row-sum error or negative entry
             bad = int(np.argmax(np.maximum(sum_errors.max(axis=1), -verts.min(axis=(1, 2)))))
             raise ValueError(
-                f"template yields invalid priors at theta={thetas[bad].tolist()}"
+                f"template yields invalid priors at theta={corners[bad].tolist()}"
             )
         if costs.min() < -GROUNDED_TOL:
-            raise ValueError(f"cost goes negative on the grid ({costs.min()})")
+            raise ValueError(f"cost goes negative on the box ({costs.min()})")
         if costs.min() > GROUNDED_TOL:
             raise ValueError(
-                f"cost not grounded: minimum over grid is {costs.min()}, not 0"
+                f"cost not grounded: minimum over the box is {costs.min()}, not 0"
             )
 
         object.__setattr__(self, "grid_resolution", int(grid_resolution))
         object.__setattr__(self, "param_names", param_names)
-        object.__setattr__(self, "thetas", _readonly(thetas))
-        object.__setattr__(self, "costs", _readonly(np.maximum(costs, 0.0)))
-        object.__setattr__(self, "_stacked", _readonly(verts.reshape(-1, len(states))))
-        object.__setattr__(self, "_offsets", np.arange(len(thetas)) * base.shape[0])
+        # both ends are on every axis, so the grid holds the 2^k corners
+        n = max(grid_resolution, 2)
+        object.__setattr__(self, "corners", _readonly(corners))
+        object.__setattr__(self, "_axis", _readonly(np.linspace(0.0, 1.0, n)))
+        object.__setattr__(self, "_at_corners", _Members(verts, costs))
+        object.__setattr__(self, "_corner_positions", np.ravel_multi_index((corners.T * (n - 1)).astype(np.intp), (n,) * k))
+        object.__setattr__(self, "_grid", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParametricFamily is immutable")
 
+    def __len__(self):
+        return self._axis.size**self.n_params
+
     @property
     def n_params(self) -> int:
         return self.vertex_coefs.shape[0]
+
+    def _points(self, indices) -> np.ndarray:
+        """The grid points at the lexicographic positions ``indices``."""
+        if self._grid is not None:
+            return self._grid[0][indices]
+        return self._axis[np.array(np.unravel_index(indices, (self._axis.size,) * self.n_params)).T]
+
+    def _built_grid(self) -> tuple:
+        """``thetas`` and the ``_Members`` at them, built on the first call
+        and kept."""
+        if self._grid is None:
+            thetas = _readonly(self._points(np.arange(len(self))))
+            object.__setattr__(self, "_grid", (thetas, self._members_at(thetas)))
+        return self._grid
+
+    thetas = property(lambda self: self._built_grid()[0])
+    costs = property(lambda self: self._built_grid()[1].costs)
+    _stacked = property(lambda self: self._built_grid()[1]._stacked)
+    _offsets = property(lambda self: self._built_grid()[1]._offsets)
+
+    def _members_at(self, thetas) -> _Members:
+        return _Members(*self._template(thetas))
 
     def _template(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """Vertex blocks (n, n_vertices, n_states) and unclipped costs of
@@ -378,10 +440,8 @@ class ParametricFamily(_Candidates):
     def meu_at(self, thetas, payoff_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``meu_matrix`` and ``costs`` of the members at the rows of
         ``thetas``."""
-        verts, costs = self._template(thetas)
-        n, n_vertices, n_states = verts.shape
-        meu = _meu(verts.reshape(-1, n_states), np.arange(n) * n_vertices, payoff_matrix)
-        return meu, np.maximum(costs, 0.0)
+        members = self._members_at(thetas)
+        return members.meu_matrix(payoff_matrix), members.costs
 
     def vertex_matrix_at(self, theta) -> np.ndarray:
         return self._template(theta)[0][0]
@@ -420,7 +480,9 @@ class CapModel:
         if family.states != states:
             raise DimensionMismatchError("family defined over a different state space")
         if variant in ("dual_self", "double_maxmin"):
-            if np.max(family.costs) > GROUNDED_TOL:
+            # an affine cost is largest at a corner
+            costs = family._costs(family.corners) if isinstance(family, ParametricFamily) else family.costs
+            if np.max(costs) > GROUNDED_TOL:
                 raise ValueError(f"{variant} requires all costs to be 0")
         if variant == "choquet":
             if not isinstance(family, FiniteFamily):
@@ -476,17 +538,20 @@ class EvaluationResult:
     optimal_perceptions: tuple
 
 
-def _scores(model: CapModel, probs: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-    """(n_candidates, B) scores of B zero-padded lotteries.
+def _scores(model: CapModel, probs: np.ndarray, payoffs: np.ndarray, members=None) -> np.ndarray:
+    """(n_candidates, B) scores of B zero-padded lotteries at every
+    candidate of the model's family, or at ``members``, a parametric
+    family's ``_Members``, which equal the grid's at a grid point bit for
+    bit.
 
     Atoms are summed left to right by ``add.accumulate``, so a padding atom
     adds an exact 0 and a row scores the same in any batch.
     """
-    family = model.family
+    members = model.family if members is None else members
     n, width, n_states = payoffs.shape
-    meu = family.meu_matrix(payoffs.reshape(n * width, n_states)).reshape(len(family.costs), n, width)
-    expected = np.add.accumulate(meu * probs, axis=2)[..., -1]
-    return expected + _COST_SIGN[model.variant] * family.costs[:, None]
+    meu = members.meu_matrix(payoffs.reshape(n * width, n_states))
+    expected = np.add.accumulate(meu.reshape(len(members.costs), n, width) * probs, axis=2)[..., -1]
+    return expected + _COST_SIGN[model.variant] * members.costs[:, None]
 
 
 def _parametric_lp_max(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
@@ -540,11 +605,13 @@ def _with_lp(value: float, lp) -> float:
 
 
 def _certified(
-    model: CapModel, probs: np.ndarray, payoffs: np.ndarray, best: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Mask of the B zero-padded lotteries whose best grid point
-    theta_g = ``thetas[best]``, of score ``values``, is the max variant's
-    box optimum within eps_opt / 4, eps_opt = 1e-9 * max(1, |value|).
+    model: CapModel, probs: np.ndarray, payoffs: np.ndarray, thetas: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the B zero-padded lotteries whose candidate at the row of
+    ``thetas``, of score ``values``, is the max variant's box optimum
+    within eps_opt / 4, eps_opt = 1e-9 * max(1, |value|), and the (B, k)
+    slacks that it compares with tau: g_i d_i for the supergradient g and
+    the inward direction d below, or |g_i| where theta_i is inside.
 
     The score f(theta) = sum_m p_m min_v (a_vm + b_vm . theta) + s * max(cost(theta), 0)
     has s = ``_COST_SIGN`` <= 0, so clipping only lowers it: f <= f_lin,
@@ -562,13 +629,14 @@ def _certified(
     gives a valid bound; among them each atom takes the one of least slope
     along the inward direction d (d_i = -1 where theta_i = 1, else +1),
     so the tie tolerance moves the hit rate, never soundness.  Padding
-    atoms have p_m = 0 and add nothing.
+    atoms have p_m = 0 and add nothing.  The first bound holds on a
+    rejected row too; at a corner, ``_corners_first`` prunes the grid
+    with it, as g . (theta - theta_g) = sum_i g_i d_i |theta_i - theta_g,i|.
     """
     family = model.family
     (n_rows, n_atoms), k = probs.shape, family.n_params
-    thetas = family.thetas[best]
-    blocks = family._stacked.reshape(len(family.thetas), -1, len(family.states))[best]
-    pieces = np.einsum("bvs,bas->bva", blocks, payoffs)
+    verts, costs = family._template(thetas)
+    pieces = np.einsum("bvs,bas->bva", verts, payoffs)
     slopes = np.einsum("kvs,bas->bkva", family.vertex_coefs, payoffs)
     tau = 1e-9 * np.maximum(1.0, np.abs(values))[:, None] / (4 * (k + 1))
     inward = np.where(thetas < 1.0, 1.0, -1.0)
@@ -578,34 +646,184 @@ def _certified(
     g = _COST_SIGN[model.variant] * family.cost_coefs + np.einsum("ba,bak->bk", probs, chosen)
     # g_i d_i <= tau where theta_i is 0 or 1, and |g_i| <= tau inside
     slack = np.where((thetas > 0.0) & (thetas < 1.0), np.abs(g), inward * g)
-    return (slack <= tau).all(axis=1) & (family._costs(thetas) >= 0.0)
+    return (slack <= tau).all(axis=1) & (costs >= 0.0), slack
+
+
+def _on_grid(terms: np.ndarray) -> np.ndarray:
+    """(B, n^k) sums over i of ``terms[:, i, j_i]`` at every grid position
+    (j_0, ..., j_(k-1)), in lexicographic order, of (B, k, n) ``terms``."""
+    total = terms[:, 0]
+    for i in range(1, terms.shape[1]):
+        total = (total[:, :, None] + terms[:, i, None, :]).reshape(len(terms), -1)
+    return total
+
+
+def _interpolated(corner_scores: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """(B, n^k) multilinear interpolation, at every grid point in
+    lexicographic order, of (2^k, B) scores at the corners in
+    lexicographic order; the grid's coordinates are ``axis``."""
+    weights = np.empty((axis.size, 2))
+    weights[:, 0], weights[:, 1] = 1.0 - axis, axis
+    done = corner_scores.T[:, :, None]  # (B, corners left, grid positions so far)
+    while done.shape[1] > 1:
+        split = done.reshape(len(done), 2, -1, done.shape[2])
+        done = np.einsum("bcrm,nc->brmn", split, weights).reshape(len(done), split.shape[2], -1)
+    return done[:, 0]
+
+
+def _corners_first(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
+    """``_settled`` candidates of B zero-padded lotteries on a parametric
+    family, scoring only the grid points whose scores can matter.
+
+    The 2^k corners are scored first.  Let v be a row's best corner score
+    and eps = 1e-9 * max(1, |v|).  The row's value v* is at least as good
+    as its best grid score, and only the first best grid point and the
+    grid points within eps(v*) of v* are read, so a point that scores
+    below v - eps (max variants) or above v + eps (min variants) changes
+    nothing: x - 1e-9 * max(1, |x|) and x + 1e-9 * max(1, |x|) grow with
+    x.  A point is pruned when a bound on its exact score, widened by a
+    rounding margin rho, proves this.  The corners and every grid point
+    that some row keeps are scored, for every row; the whole grid is
+    scored from ``thetas`` when the rows keep all of it.
+
+    Max variants: let e be the least eps of the chunk.  If some row's
+    best corner ties another corner within e, the concave score is at
+    least v - e on the segment between them, so the bound would keep that
+    segment, and its first best grid point is seldom the corner, so
+    ``_settled`` would certify a second point: the whole grid is scored
+    instead, with one certificate.  So is it if some row's best corner
+    fails ``_certified``.  Otherwise the certificate bounds the exact
+    score by v + tau + sum_i g_i d_i |theta_i - theta_c,i|, with
+    tau <= eps/4 and every g_i d_i <= tau, so a point is pruned when
+    sum_i g_i d_i |theta_i - theta_c,i| < -(e + e/4 + rho).  Off the
+    corner some |theta_i - theta_c,i| is at least h = 1/(n - 1), the
+    grid's step, so when every g_i d_i of the chunk is below
+    -(e + e/4 + rho) / h, each row keeps its corner alone.
+
+    Min variants: the score with the unclipped cost is concave, so at
+    theta, a convex combination of the corners with the multilinear
+    weights, it is at least the same combination of its corner values.
+    The cost is at least -``GROUNDED_TOL`` on the box (the family checks
+    its corners), so clipping it raises a score by at most that much.  A
+    point is pruned when the multilinear interpolation of the corner
+    scores exceeds v + eps + ``GROUNDED_TOL`` + rho.  Off the best corner
+    its weight is at most 1 - h, so the interpolation is at least
+    v + h * delta, delta being the gap from v to the second best corner
+    score: when h * delta exceeds the largest eps of the chunk plus
+    ``GROUNDED_TOL`` + rho in every row, each row keeps its corner alone.
+
+    Rounding: a template valid at its corners has entries in [0, 1] up to
+    1e-12 n_states there, so |a_vs| + sum_i |b_ivs| <= 2(k + 1) for the
+    base a and the coefficients b; each piece of a lottery, each corner
+    score and sum_i |g_i| is then at most R = 2(k + 1) n_states X + C in
+    magnitude, where X is the largest |payoff| in the chunk and
+    C = |cost_base| + sum_i |cost_coefs_i|.  With u = 2^-53 and
+    N = n_states + k + width + 8, the standard model of floating point
+    (Higham 2002, *Accuracy and Stability of Numerical Algorithms*, Sec.
+    3.1) bounds by N u (2R) the gap between each computed quantity the
+    argument uses (a grid score, a corner score, a piece, g and its
+    products, an interpolation) and its exact value, to first order.  The
+    argument adds at most six such gaps, so rho = 8 N u (2R) covers them.
+    A chunk whose rho is not finite prunes nothing.
+    """
+    family, variant = model.family, model.variant
+    corners, k, n_states = family.corners, family.n_params, len(family.states)
+
+    def whole_grid(known):
+        return _settled(model, probs, payoffs, None, _scores(model, probs, payoffs, family._built_grid()[1]), known)
+
+    def margin():
+        spread = 2 * (k + 1) * n_states * np.abs(payoffs).max() + abs(family.cost_base) + np.abs(family.cost_coefs).sum()
+        return (n_states + k + probs.shape[1] + 8) * 2.0**-49 * spread
+
+    scores = _scores(model, probs, payoffs, family._at_corners)
+    if _IS_MAX[variant]:
+        v = scores.max(axis=0)
+        e = 1e-9 * max(1.0, float(np.abs(v).min()))
+        # each row has one corner at v; more than B in all means a tie
+        if np.count_nonzero(scores >= v - e) > len(v):
+            return whole_grid(None)
+        best = np.argmax(scores, axis=0)
+        at = corners[best]
+        certified, slack = _certified(model, probs, payoffs, at, v)
+        known = (family._corner_positions[best], certified)
+        if not certified.all():
+            return whole_grid(known)
+        limit = -(1.25 * e + margin())
+        if slack.max() * family._axis[1] < limit:
+            return family._corner_positions, scores, v, ()
+        prune = _on_grid(slack[:, :, None] * np.abs(family._axis - at[:, :, None])) < limit
+    else:
+        v, known = scores.min(axis=0), None
+        allowance = GROUNDED_TOL + margin()
+        gap = np.partition(scores, 1, axis=0)[1] - v
+        if gap.min() * family._axis[1] > 1e-9 * max(1.0, float(np.abs(v).max())) + allowance:
+            return family._corner_positions, scores, v, ()
+        limit = v + 1e-9 * np.maximum(1.0, np.abs(v)) + allowance
+        prune = _interpolated(scores, family._axis) > limit[:, None]
+    kept = ~prune.all(axis=0)
+    if kept.all():
+        return whole_grid(known)
+    kept[family._corner_positions] = False
+    extra = np.flatnonzero(kept)
+    if not extra.size:
+        return _settled(model, probs, payoffs, family._corner_positions, scores, known)
+    positions = np.concatenate([family._corner_positions, extra])
+    scores = np.concatenate([scores, _scores(model, probs, payoffs, family._members_at(family._points(extra)))])
+    order = np.argsort(positions)
+    return _settled(model, probs, payoffs, positions[order], scores[order], known)
+
+
+def _settled(model: CapModel, probs, payoffs, positions, scores, known):
+    """``(positions, scores, values, rejected)`` of B lotteries whose
+    candidates at the grid ``positions`` (None for the whole grid) have
+    the (n_scored, B) ``scores``: the best scores and, for a max variant,
+    the rows whose first best grid point fails ``_certified``.  ``known``
+    holds each row's best corner's position and verdict, which a row whose
+    first best grid point is that corner takes without a second proof."""
+    if not _IS_MAX[model.variant]:
+        return positions, scores, scores.min(axis=0), ()
+    best, values = np.argmax(scores, axis=0), scores.max(axis=0)
+    if positions is not None:
+        best = positions[best]
+    if known is None:
+        certified = _certified(model, probs, payoffs, model.family._points(best), values)[0]
+    else:
+        certified, check = known[1], np.flatnonzero(best != known[0])
+        if check.size:
+            thetas = model.family._points(best[check])
+            certified[check] = _certified(model, probs[check], payoffs[check], thetas, values[check])[0]
+    return positions, scores, values, np.flatnonzero(~certified)
 
 
 def _values(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
     """Scores, values and LP optima of one chunk of B zero-padded lotteries.
 
-    Returns the (n_candidates, B) candidate scores, the B values, and a dict
-    from row to the ``(theta, score)`` of each epigraph LP solved.  A value
-    is the best candidate's score, which the max variants on a parametric
-    family keep where ``_certified`` proves it the box optimum, and
-    otherwise pass to ``_with_lp`` with the LP over the row's atoms of
-    positive probability.  The min variants need no LP: a concave score
-    attains its minimum over the box at a corner, and the grid holds every
-    corner."""
-    scores = _scores(model, probs, payoffs)
-    if not _IS_MAX[model.variant]:
-        return scores, scores.min(axis=0), {}
-    values, lps = scores.max(axis=0), {}
-    if model.is_parametric:
-        best = np.argmax(scores, axis=0)
-        for i in np.flatnonzero(~_certified(model, probs, payoffs, best, values)):
-            real = probs[i] > 0.0
-            lps[i] = _parametric_lp_max(model, probs[i, real], payoffs[i, real])
-            values[i] = _with_lp(values[i], lps[i])
-    return scores, values, lps
+    Returns the grid positions of the candidates scored (None for every
+    candidate), their (n_scored, B) scores, the B values, and a dict from
+    row to the ``(theta, score)`` of each epigraph LP solved.  A value is
+    the best candidate's score.  On a parametric family
+    ``_corners_first`` scores every grid point whose score can matter, so
+    the value and the first best grid point are the grid's; the max
+    variants keep the value where ``_certified`` proves that point the box
+    optimum, and otherwise pass it to ``_with_lp`` with the LP over the
+    row's atoms of positive probability.  The min variants need no LP: a
+    concave score attains its minimum over the box at a corner, and the
+    grid holds every corner."""
+    if model.is_parametric and len(probs):
+        positions, scores, values, rejected = _corners_first(model, probs, payoffs)
+    else:
+        positions, scores, rejected = None, _scores(model, probs, payoffs), ()
+        values = scores.max(axis=0) if _IS_MAX[model.variant] else scores.min(axis=0)
+    lps = {}
+    for i in rejected:
+        real = probs[i] > 0.0
+        lps[i] = _parametric_lp_max(model, probs[i, real], payoffs[i, real])
+        values[i] = _with_lp(values[i], lps[i])
+    return positions, scores, values, lps
 
 
-def _results(model: CapModel, scores: np.ndarray, values: np.ndarray, lps: dict) -> list:
+def _results(model: CapModel, positions, scores: np.ndarray, values: np.ndarray, lps: dict) -> list:
     """``EvaluationResult`` of each row of one ``_values`` chunk: its value,
     the candidates within eps_opt of it, and the LP's theta* where
     ``_values`` solved the LP on the row and theta* is off the grid and
@@ -623,7 +841,7 @@ def _results(model: CapModel, scores: np.ndarray, values: np.ndarray, lps: dict)
     if isinstance(model.family, FiniteFamily):
         tags = keep.tolist()
     else:
-        tags = list(map(tuple, model.family.thetas[keep].tolist()))
+        tags = list(map(tuple, model.family._points(keep if positions is None else positions[keep]).tolist()))
     results, start = [], 0
     for i, value in enumerate(vals):
         end = bisect.bisect_right(rows, i, start)
@@ -639,7 +857,9 @@ def _results(model: CapModel, scores: np.ndarray, values: np.ndarray, lps: dict)
 
 def _chunks(model: CapModel, probs, payoffs):
     """``_values`` of B lotteries held as zero-padded arrays, one kernel
-    chunk at a time, so that the vertex-by-atom products stay small."""
+    chunk at a time, so that the vertex-by-atom products stay small even
+    where a chunk scores every candidate; a parametric family counts its
+    grid without building it."""
     probs = np.asarray(probs, dtype=float)
     payoffs = np.asarray(payoffs, dtype=float)
     if payoffs.ndim != 3 or payoffs.shape[2] != len(model.states) or probs.shape != payoffs.shape[:2]:
@@ -647,7 +867,9 @@ def _chunks(model: CapModel, probs, payoffs):
             f"expected probs (B, A) and payoffs (B, A, {len(model.states)}), "
             f"got {probs.shape} and {payoffs.shape}"
         )
-    step = max(1, _KERNEL_ENTRIES // (len(model.family._stacked) * max(1, probs.shape[1])))
+    family = model.family
+    rows = len(family) * family.vertex_base.shape[0] if model.is_parametric else len(family._stacked)
+    step = max(1, _KERNEL_ENTRIES // (rows * max(1, probs.shape[1])))
     for i in range(0, max(1, len(probs)), step):
         yield _values(model, probs[i : i + step], payoffs[i : i + step])
 
@@ -673,7 +895,7 @@ def evaluate_value(model: CapModel, P: Lottery) -> float:
     """Fast path returning only the value (used by sampling-heavy callers);
     it equals ``evaluate``'s value."""
     _check_same_states(model, P)
-    return float(_values(model, P.probs[None], P.payoff_matrix[None])[1][0])
+    return float(_values(model, P.probs[None], P.payoff_matrix[None])[2][0])
 
 
 def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
@@ -689,7 +911,7 @@ def evaluate_values(model: CapModel, probs, payoffs) -> np.ndarray:
     equals ``evaluate_value`` of the row's lottery bit for bit when the
     row has no two identical atoms, which ``Lottery`` would merge.
     """
-    return np.concatenate([values for _, values, _ in _chunks(model, probs, payoffs)])
+    return np.concatenate([chunk[2] for chunk in _chunks(model, probs, payoffs)])
 
 
 def certainty_equivalent(model: CapModel, P: Lottery) -> float:

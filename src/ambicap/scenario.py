@@ -57,7 +57,16 @@ from .identification import (
     normalize_act,
     standard_bet_dictionary,
 )
-from .model import CapModel, FiniteFamily, Lottery, ParametricFamily, VARIANTS, evaluate
+from .model import (
+    CapModel,
+    FiniteFamily,
+    Lottery,
+    ParametricFamily,
+    VARIANTS,
+    evaluate,
+    evaluate_values,
+    stack_lotteries,
+)
 from .sampling import LotterySampler
 
 DEFAULT_EXPECT_TOL = 1e-6
@@ -426,8 +435,11 @@ def _bind_compare(s: Scenario, q: _Keys):
     better, worse = q.lottery("better", s), q.lottery("worse", s)
     margin = _parse_number(q.take("margin", 1e-9), q.at("margin"))
 
+    # a Lottery has no two identical atoms, so these equal evaluate's values bit for bit
+    pair = stack_lotteries([(P.probs, P.payoff_matrix) for P in (better, worse)], len(s.states))
+
     def run(seed):
-        v_better, v_worse = evaluate(model, better).value, evaluate(model, worse).value
+        v_better, v_worse = evaluate_values(model, *pair).tolist()
         return {"value_better": v_better, "value_worse": v_worse,
                 "holds": bool(v_better > v_worse + margin)}
     return run, _HOLDS

@@ -68,17 +68,19 @@ def _random_parametric_family(states, rng, grid_resolution=5):
     return ParametricFamily(states, base, coefs, cost_base, cost_coefs, grid_resolution)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def random_parametric_family():
     return _random_parametric_family
 
 
-def _always_lp_evaluate(model, P):
+def _always_lp_evaluate(model, P, grid=None):
     """``evaluate`` without the grid certificate, as an oracle: on a
     parametric family the max variants solve the epigraph LP on every
     lottery, and its theta* joins the perceptions when it is off the grid
-    and within eps_opt of the value."""
-    scores = model_module._scores(model, P.probs[None], P.payoff_matrix[None])[:, 0]
+    and within eps_opt of the value.  The candidates are scored by
+    ``grid``, a model on the same variant whose candidates are the grid
+    points in order (the model itself by default)."""
+    scores = model_module._scores(grid or model, P.probs[None], P.payoff_matrix[None])[:, 0]
     sign = 1.0 if model_module._IS_MAX[model.variant] else -1.0
     value = float(sign * np.max(sign * scores))
     lp = None

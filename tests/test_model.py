@@ -17,6 +17,7 @@ from ambicap import (
     UtilityAct,
     VARIANTS,
     certainty_equivalent,
+    check_canonical,
     choquet_integral,
     constant_act,
     core_of_capacity,
@@ -401,7 +402,7 @@ def _certificate(model, probs, payoffs):
     scores = model_module._scores(model, probs, payoffs)
     values = np.max(scores, axis=0)
     best = np.argmax(scores, axis=0)
-    return model_module._certified(model, probs, payoffs, best, values), values
+    return model_module._certified(model, probs, payoffs, model.family.thetas[best], values)[0], values
 
 
 @pytest.fixture
@@ -735,6 +736,184 @@ class TestEvaluateMany:
     def test_rejects_arrays_of_the_wrong_shape(self, urn_model):
         with pytest.raises(DimensionMismatchError):
             evaluate_many(urn_model, np.ones((2, 1)), np.zeros((2, 1, 3)))
+
+
+def _plateau_family(grid_resolution):
+    """``_off_grid_face_model``'s family with the cost
+    (1 - y) / 10 + (1 - x) / 10^10: under ``cap`` the bet (1, 0) scores
+    min(x, 1/3) - cost, best at the corner (1, 1) alone, and within
+    eps_opt of it on the grid points (x >= 1/3, 1), so a pruned grid
+    keeps that edge."""
+    base = _off_grid_face_model(grid_resolution).family
+    return ParametricFamily(
+        base.states, base.vertex_base, base.vertex_coefs, 0.1 + 1e-10, [-1e-10, -0.1], grid_resolution
+    )
+
+
+def _corpus_families(make_random):
+    """Both urns at grids 11 and 101, the ridge family at grids 2, 11 and
+    101, the plateau family at grids 4 and 11, and nine seeded random
+    affine templates, three each with 1, 2 and 3 parameters."""
+    families = [make(g) for make in (family_5051, family_reflection) for g in (11, 101)]
+    families += [_ridge_model(g)[0].family for g in (2, 11, 101)]
+    families += [_plateau_family(g) for g in (4, 11)]
+    by_k = {}
+    for seed in range(100):
+        rng = np.random.default_rng(800 + seed)
+        states = StateSpace([f"s{i}" for i in range(int(rng.integers(2, 5)))])
+        family = make_random(states, rng, int(rng.integers(2, 12)))
+        if len(by_k.setdefault(family.n_params, [])) < 3:
+            by_k[family.n_params].append(family)
+    assert sorted(by_k) == [1, 2, 3] and all(len(f) == 3 for f in by_k.values())
+    return families + [f for k in sorted(by_k) for f in by_k[k]]
+
+
+@pytest.fixture(scope="module")
+def corpus(random_parametric_family):
+    """(family, its grid as a finite family) of every corpus family, and
+    of its zero-cost twin, for the zero-cost variants."""
+    cost = [(f, f.to_finite()) for f in _corpus_families(random_parametric_family)]
+    # a twin's grid has the same members at zero cost
+    zero = [(_zero_cost_twin(f), FiniteFamily([(M, 0.0) for M in finite.sets])) for f, finite in cost]
+    return {"cost": cost, "zero": zero}
+
+
+def _bets(family):
+    """Dirac lotteries of the bets on each state: one of 1 util, and one of
+    |cost_coefs[0]| / vertex_base[0, s] utils on state s, which on the urns
+    makes the score flat along an axis, so that its ties span the grid."""
+    n = len(family.states)
+    sizes = [np.ones(n), abs(family.cost_coefs[0]) / np.maximum(family.vertex_base[0], 1e-3)]
+    bets = {(size[s] * np.eye(n)[s]).tobytes(): size[s] * np.eye(n)[s] for size in sizes for s in range(n)}
+    return [Lottery.dirac(UtilityAct(family.states, bet)) for bet in bets.values()]
+
+
+class TestCornersFirst:
+    """``_values`` scores a parametric family's corners first and only the
+    grid points that its bound cannot prune, so every value and perception
+    list equals the one the whole grid gives, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["cap", "cautious", "dual_self", "double_maxmin"])
+    def test_corpus_matches_the_grid_as_a_finite_family(self, variant, corpus, always_lp_evaluate):
+        pruned = 0
+        for j, (family, finite) in enumerate(corpus["cost" if variant in ("cap", "cautious") else "zero"]):
+            model = CapModel(family.states, family, variant)
+            grid = CapModel(family.states, finite, variant)
+            sampled, probs, payoffs = _sampled(LotterySampler(family.states, seed=j), 4)
+            # the sampled rows alone, without the bets' ties
+            pruned += model_module._corners_first(model, probs, payoffs)[0] is not None
+            lotteries = sampled + _bets(family)
+            probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], len(family.states))
+            points = set(map(tuple, family.thetas.tolist()))
+
+            def on_grid(result):
+                # the value and the grid points listed; an LP's theta* off
+                # the grid is listed only where the certificate rejects a row,
+                # which the oracle does not model
+                return result.value.hex(), [p for p in result.optimal_perceptions if p in points]
+
+            want = [on_grid(always_lp_evaluate(model, P, grid)) for P in lotteries]
+            results = [evaluate(model, P) for P in lotteries]
+            assert [on_grid(r) for r in results] == want
+            assert [_bits(r) for r in evaluate_many(model, probs, payoffs)] == [_bits(r) for r in results]
+            values = [w[0] for w in want]
+            assert [v.hex() for v in evaluate_values(model, probs, payoffs).tolist()] == values
+            assert [evaluate_value(model, P).hex() for P in lotteries] == values
+        # a third of the batches or more score a part of the grid, not all of
+        # it; the others hold a row whose best corner is tied or rejected
+        assert 3 * pruned >= len(corpus["cost"]), pruned
+
+    @pytest.mark.parametrize("grid", [2, 11, 101])
+    def test_ridge_keeps_its_value_and_lp_theta(self, grid, counted_lps):
+        model, P = _ridge_model(grid)
+        result = evaluate(model, P)
+        assert len(counted_lps) == 1
+        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        lp_theta, lp_value = model_module._parametric_lp_max(model, P.probs, P.payoff_matrix)
+        assert result.value == lp_value
+        assert tuple(lp_theta.tolist()) in result.optimal_perceptions
+
+    def test_urn_acts_keep_their_best_corner_alone(self):
+        scored = []
+        for make in (model_5051, model_reflection):
+            model = make(101)
+            for act in (*acts_5051().values(), *acts_reflection().values(), *acts_ellsberg().values()):
+                P = Lottery.dirac(act)
+                positions = model_module._corners_first(model, P.probs[None], P.payoff_matrix[None])[0]
+                scored.append(None if positions is None else len(positions))
+        assert scored == [4] * len(scored)
+
+
+class TestLazyGrid:
+    """A parametric family checks its template at the corners and builds
+    its grid only for the callers that read it."""
+
+    def test_family_and_certified_corner_evaluations_build_no_grid(self):
+        family = family_5051(101)
+        assert family._grid is None
+        for variant in ("cap", "cautious"):
+            model = CapModel(family.states, family, variant)
+            P = Lottery.dirac(acts_5051()["f1"])
+            evaluate_value(model, P)
+            assert len(evaluate(model, P).optimal_perceptions) == 1
+            evaluate_values(model, P.probs[None], P.payoff_matrix[None])
+        assert family._grid is None
+        twin = _zero_cost_twin(family)
+        CapModel(twin.states, twin, "dual_self")
+        assert twin._grid is None
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda f: f.meu_matrix(np.eye(len(f.states))),
+            lambda f: f.to_finite(),
+            check_canonical,
+        ],
+        ids=["meu_matrix", "to_finite", "check_canonical"],
+    )
+    def test_grid_users_build_it_once(self, use, monkeypatch):
+        builds, members_at = [], ParametricFamily._members_at
+        monkeypatch.setattr(ParametricFamily, "_members_at", lambda self, t: builds.append(len(t)) or members_at(self, t))
+        family = family_5051(5)
+        assert family._grid is None
+        use(family)
+        use(family)
+        assert family._grid is not None
+        assert builds == [len(family)] == [25]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_corners_are_the_grid_corners_in_order(self, k):
+        rng = np.random.default_rng(k)
+        base = rng.dirichlet(np.ones(3), size=2)
+        coefs = np.stack([(rng.dirichlet(np.ones(3), size=2) - base) / k for _ in range(k)])
+        for grid in (1, 2, 3, 4):
+            family = ParametricFamily(StateSpace(["a", "b", "c"]), base, coefs, 0.0, np.zeros(k), grid)
+            thetas = family.thetas
+            want = thetas[((thetas == 0.0) | (thetas == 1.0)).all(axis=1)]
+            assert family.corners.tolist() == want.tolist()
+            assert family.thetas[family._corner_positions].tolist() == want.tolist()
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_valid_corners_make_a_valid_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        base = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 4)))
+        # coefficient rows sum to 0, so every row sums to 1; at some corner an
+        # entry goes negative for about 4 seeds in 10, and the family refuses them
+        coefs = rng.uniform(-1.0, 1.0, (k, len(base), n)) * 4.0 * base.min() / k
+        coefs -= coefs.mean(axis=2, keepdims=True)
+        cost_coefs = rng.uniform(-5.0, 5.0, k)
+        try:
+            family = ParametricFamily(
+                StateSpace([f"s{i}" for i in range(n)]), base, coefs,
+                -np.minimum(cost_coefs, 0.0).sum(), cost_coefs, int(rng.integers(2, 9)),
+            )
+        except ValueError:
+            return
+        verts = family._stacked.reshape(len(family), -1, n)
+        assert np.abs(verts.sum(axis=2) - 1.0).max() <= 1e-12
+        assert verts.min() >= -1e-12
+        assert family._costs(family.thetas).min() >= -model_module.GROUNDED_TOL
 
 
 class TestChoquetVariant:

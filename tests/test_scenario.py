@@ -8,6 +8,7 @@ import yaml
 
 import ambicap.comparatives
 from ambicap import (
+    ParametricFamily,
     ScenarioError,
     builtin_machina_suite,
     bundled_scenario_paths,
@@ -358,6 +359,19 @@ class TestBundledScenarios:
                 path.name,
                 [(r.name, r.status, r.message) for r in report.results],
             )
+
+    def test_bundled_parametric_families_never_build_their_grid(self):
+        # every bundled act's best corner is certified and bounds the grid
+        # to itself, so loading and running scores no grid-101 point
+        parametric = 0
+        for path in bundled_scenario_paths():
+            scenario = load_scenario(path)
+            run_queries(scenario)
+            for family in scenario.families.values():
+                if isinstance(family, ParametricFamily):
+                    parametric += 1
+                    assert family.grid_resolution == 101 and family._grid is None, path.name
+        assert parametric == 3
 
     def test_builtin_suite_aggregates(self):
         report = builtin_machina_suite()
