@@ -29,6 +29,17 @@ Times the ``ambicap`` that Python imports:
                                    list, on the grid-101 urn, per call, for
                                    ``cap`` and ``cautious``, timed in fresh
                                    processes
+    tied_bet_evaluate_us           one ``evaluate`` of the bet of 101 utils
+                                   on red under the ``cap`` urn
+                                   ``model_5051`` at grids 11 and 101, per
+                                   call; its best corners tie, so it scores
+                                   the whole grid; timed in fresh processes
+    mixed_batch_evaluate_many_us   one ``evaluate_many`` of two rows under
+                                   the grid-11 ``cap`` urn: the bet
+                                   (10101.0002, 10000, 9000, 9000) and the
+                                   constant 0.5, whose values differ by four
+                                   orders of magnitude, per call, timed in
+                                   fresh processes
     parametric_family_build_ms     one ``family_5051(101)``, timed in
                                    fresh processes (see below)
     parametric_lp_solves           ``_parametric_lp_max`` calls made by the
@@ -105,12 +116,15 @@ import numpy as np
 import ambicap.model
 from ambicap import (
     VARIANTS,
+    Lottery,
     StateSpace,
+    UtilityAct,
     check_axiom,
     check_canonical,
     estimate_cost_star,
     estimate_multi_meu_core,
     evaluate,
+    evaluate_many,
     evaluate_value,
     evaluate_values,
     higher_filtering_incentives,
@@ -250,6 +264,21 @@ def parametric_evaluation(repeats: int, n_lotteries: int) -> dict:
     }
 
 
+def tied_and_mixed_evaluation(repeats: int, n_calls: int) -> dict:
+    """us per ``evaluate`` of the tied red bet at grids 11 and 101, and per
+    ``evaluate_many`` of the mixed-magnitude batch, in this process."""
+    red = Lottery.dirac(UtilityAct(STATES_4, [101.0, 0.0, 0.0, 0.0]))
+    tied = {}
+    for grid in (11, 101):
+        model = model_5051(grid)
+        tied[f"grid{grid}"] = best_of(repeats, lambda: [evaluate(model, red) for _ in range(n_calls)]) / n_calls * 1e6
+    model = model_5051(11)
+    batch = [Lottery.dirac(UtilityAct(STATES_4, [10101.0002, 10000.0, 9000.0, 9000.0])), Lottery.constant(STATES_4, 0.5)]
+    probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in batch], len(STATES_4))
+    mixed = best_of(repeats, lambda: [evaluate_many(model, probs, payoffs) for _ in range(n_calls)]) / n_calls * 1e6
+    return {"tied_bet_evaluate_us": tied, "mixed_batch_evaluate_many_us": mixed}
+
+
 def parametric_lp_solves(n_lotteries: int, grid: int, c7_samples: int) -> dict:
     """LP solves of the grid-11 ``cap`` batch of ``parametric_evaluation``
     and of the three reflexive orders of c7 on ``model_5051(grid)``."""
@@ -361,6 +390,7 @@ def process_timings(
         "sampler_draw_lottery_us": sampler_draws(repeats, n_lotteries),
         "sampler_chunk_per_trial_us": sampler_chunk(repeats, max(1, n_lotteries // 64)),
         **parametric_evaluation(repeats, n_lotteries // 10),
+        **tied_and_mixed_evaluation(repeats, max(1, n_lotteries // 20)),
         "check_axiom_ms": axiom_ops(repeats, trials),
         "order_ms": order_ops(repeats, grid, op_samples, c7_samples),
         "c7_shares_ms": best_of(repeats, lambda: c7_shares(grid, c7_pairs)) * 1e3,
@@ -442,6 +472,8 @@ def main() -> int:
         "parametric_kernel_per_lottery_us",
         "parametric_evaluate_value_us",
         "parametric_evaluate_us",
+        "tied_bet_evaluate_us",
+        "mixed_batch_evaluate_many_us",
         "parametric_family_build_ms",
         "check_axiom_ms",
     )

@@ -167,7 +167,16 @@ class BeliefSet:
             )
         if rows.shape[0] == 0:
             raise ValueError("belief set needs at least one vertex")
-        validated = np.vstack([Prior(states, r).weights for r in rows])
+        rows = rows.reshape(len(rows), -1)
+        validated = np.maximum(rows, 0.0)  # scrub rounding dust, as Prior does
+        # Prior's checks on every row at once; Prior of the first bad row raises
+        bad = (
+            ~np.isfinite(rows).all(axis=1)
+            | (rows.min(axis=1, initial=0.0) < -SUM_TOL)
+            | (np.abs(validated.sum(axis=1) - 1.0) > SUM_TOL)
+        )
+        if rows.shape[1] != len(states) or bad.any():
+            Prior(states, rows[np.argmax(bad)])
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "matrix", _readonly(validated))
 

@@ -10,8 +10,8 @@ one LP, solved by the package's simplex kernel.  A finite family gives the
 LP every member at once.  A parametric family starts from its box corners
 and gains, as cutting planes (Kelley 1960), the optimal members of each
 witness lottery under the exact evaluator, until the evaluator agrees with
-the LP.  The estimate is the value of that witness, so it is a certified
-lower bound.
+the LP; after ``MAX_COST_LPS`` LPs it raises instead.  The estimate is the
+value of that witness, so it is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ from .model import (
 _PERTURBATION = np.random.default_rng(0).uniform(1e-8, 2e-8, 1024)
 
 _DICTIONARY_SCALE = 1000.0  # scale of each dictionary act in the cost LP
+
+# Cost LPs one estimate may solve; the stock urns need one, random
+# templates up to about 20.
+MAX_COST_LPS = 100
 
 
 def normalize_act(act: UtilityAct) -> UtilityAct:
@@ -186,7 +190,9 @@ def estimate_cost_star(
 ) -> CostEstimate:
     """Lower-bound the canonical cost of M under the model's behavior.
 
-    ``budget`` caps the simplex pivots of each LP solve; reaching it raises.
+    ``budget`` caps the simplex pivots of each LP solve, and
+    ``MAX_COST_LPS`` the cost LPs of the cutting-plane loop; reaching
+    either raises ``RuntimeError``.
     """
     if model.variant != "cap":
         raise ValueError("cost recovery is defined for the cap variant")
@@ -201,7 +207,7 @@ def estimate_cost_star(
         # the corners, in the lexicographic order on which the cost LP's first cheapest row depends
         Hmat, costs = family.meu_at(family.corners, payoffs)
 
-    while True:
+    for _ in range(MAX_COST_LPS):
         w = _menu_lp(h, Hmat, costs, budget)
         probs = w / w.sum()
         witness = Lottery(model.states, probs[probs > 0.0], payoffs[probs > 0.0])
@@ -211,6 +217,8 @@ def estimate_cost_star(
             break
         rows, row_costs = family.meu_at(result.optimal_perceptions, payoffs)
         Hmat, costs = np.vstack([Hmat, rows]), np.concatenate([costs, row_costs])
+    else:
+        raise RuntimeError(f"cost estimate: the evaluator still beats the cost LP after {MAX_COST_LPS} LPs")
 
     promised = (M.matrix @ witness.payoff_matrix.T).min(axis=0) @ witness.probs
     true_value = float(promised - result.value)

@@ -18,26 +18,22 @@ candidates on a batch of zero-padded lotteries, and ``evaluate_many`` adds
 each row's perceptions; a single ``evaluate`` or ``evaluate_value`` is a
 batch of one, so a candidate's score does not depend on the batch it is
 scored in.  On a parametric family each variant's score is concave and
-piecewise linear in theta.  ``_corners_first`` scores the 2^k corners,
-then bounds every other grid point's score from the corners: by the
-supergradient of the best corner, which ``_certified`` proves the box
-optimum, for the max variants, and by the multilinear interpolation of
-the corner scores for the min variants.  Only the grid points that the
-bound, widened by a rounding margin, cannot rule out are scored, so the
+piecewise linear in theta, and ``_corners_first`` applies one rule to each
+row, with the row's own eps_opt: it scores the 2^k corners, then only the
+grid points that a bound from them cannot rule out (the supergradient of
+the best corner, which ``_certified`` proves the box optimum, for the max
+variants; the gap to the second best corner for the min variants), and
+the whole grid for a row whose best corner ties or is rejected.  So the
 best grid score, the first best grid point and the grid points within
-eps_opt of the value are the whole grid's, bit for bit; a row the bound
-cannot decide scores the whole grid.  The min variants take the grid
-minimum, which a concave score attains at a corner.  The max variants
-keep the grid maximum where ``_certified`` proves the first best grid
-point the box optimum, and solve the score's epigraph LP over the whole
-box with the package's simplex kernel, one lottery at a time, only where
-it fails.  ``_values`` holds this rule for every caller;
-``evaluate_many`` reads each row's perception list from the same scores,
-so the list holds the LP's optimum only on a row the certificate rejects,
-and ``evaluate`` is its batch of one.  A parametric family checks its
-template at the corners and builds its grid only for the callers that
-read it: ``meu_matrix``, ``to_finite``, ``check_canonical`` and rows
-that need the whole grid.
+eps_opt of the value are the whole grid's, bit for bit.  The min variants
+take the grid minimum, which a concave score attains at a corner.  The
+max variants keep the grid maximum where ``_certified`` proves the first
+best grid point the box optimum, and only where it fails solve the
+score's epigraph LP over the whole box with the package's simplex kernel,
+one lottery at a time; only such a row lists the LP's optimum.  A
+parametric family checks its template at the corners and builds its grid
+only for the callers that read it: ``meu_matrix``, ``to_finite``,
+``check_canonical`` and rows that need the whole grid.
 
 Each formula is computed once: ``_meu`` is the MEU kernel of every
 candidate row, and ``ParametricFamily._template`` is the only evaluation
@@ -309,11 +305,11 @@ class ParametricFamily(_Candidates):
     ``thetas``, in lexicographic order; ``thetas``, ``costs``, ``_stacked``
     and ``_offsets`` are built together on first use and kept.  Only
     ``_template`` evaluates the template, its costs through ``_costs``,
-    which ``cost_at`` calls alone; every cost is clipped by
-    ``np.maximum(cost, 0.0)``.  ``einsum`` sums each vertex entry and each
-    cost in one order whatever the number of thetas, so at a grid point
-    ``member_at``, ``cost_at`` and ``meu_at`` equal the grid bit for bit.
-    ``to_finite`` holds the grid's own members and costs.
+    which ``cost_at`` and ``_certified`` call alone; every member's cost
+    is clipped by ``np.maximum(cost, 0.0)``.  ``einsum`` sums each vertex
+    entry and each cost in one order whatever the number of thetas, so at
+    a grid point ``member_at``, ``cost_at`` and ``meu_at`` equal the grid
+    bit for bit.  ``to_finite`` holds the grid's own members and costs.
     """
 
     __slots__ = (
@@ -605,13 +601,14 @@ def _with_lp(value: float, lp) -> float:
 
 
 def _certified(
-    model: CapModel, probs: np.ndarray, payoffs: np.ndarray, thetas: np.ndarray, values: np.ndarray
+    model: CapModel, probs: np.ndarray, payoffs: np.ndarray, thetas: np.ndarray, verts: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the B zero-padded lotteries whose candidate at the row of
-    ``thetas``, of score ``values``, is the max variant's box optimum
-    within eps_opt / 4, eps_opt = 1e-9 * max(1, |value|), and the (B, k)
-    slacks that it compares with tau: g_i d_i for the supergradient g and
-    the inward direction d below, or |g_i| where theta_i is inside.
+    ``thetas``, of scored vertex block ``verts`` and score ``values``, is
+    the max variant's box optimum within eps_opt / 4 (eps_opt = 1e-9 *
+    max(1, |value|)), and the (B, k) slacks that it compares with tau: g_i
+    d_i for the supergradient g and the inward direction d below, or |g_i|
+    where theta_i is inside.
 
     The score f(theta) = sum_m p_m min_v (a_vm + b_vm . theta) + s * max(cost(theta), 0)
     has s = ``_COST_SIGN`` <= 0, so clipping only lowers it: f <= f_lin,
@@ -635,7 +632,6 @@ def _certified(
     """
     family = model.family
     (n_rows, n_atoms), k = probs.shape, family.n_params
-    verts, costs = family._template(thetas)
     pieces = np.einsum("bvs,bas->bva", verts, payoffs)
     slopes = np.einsum("kvs,bas->bkva", family.vertex_coefs, payoffs)
     tau = 1e-9 * np.maximum(1.0, np.abs(values))[:, None] / (4 * (k + 1))
@@ -646,7 +642,7 @@ def _certified(
     g = _COST_SIGN[model.variant] * family.cost_coefs + np.einsum("ba,bak->bk", probs, chosen)
     # g_i d_i <= tau where theta_i is 0 or 1, and |g_i| <= tau inside
     slack = np.where((thetas > 0.0) & (thetas < 1.0), np.abs(g), inward * g)
-    return (slack <= tau).all(axis=1) & (costs >= 0.0), slack
+    return (slack <= tau).all(axis=1) & (family._costs(thetas) >= 0.0), slack
 
 
 def _on_grid(terms: np.ndarray) -> np.ndarray:
@@ -658,59 +654,43 @@ def _on_grid(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _interpolated(corner_scores: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """(B, n^k) multilinear interpolation, at every grid point in
-    lexicographic order, of (2^k, B) scores at the corners in
-    lexicographic order; the grid's coordinates are ``axis``."""
-    weights = np.empty((axis.size, 2))
-    weights[:, 0], weights[:, 1] = 1.0 - axis, axis
-    done = corner_scores.T[:, :, None]  # (B, corners left, grid positions so far)
-    while done.shape[1] > 1:
-        split = done.reshape(len(done), 2, -1, done.shape[2])
-        done = np.einsum("bcrm,nc->brmn", split, weights).reshape(len(done), split.shape[2], -1)
-    return done[:, 0]
-
-
 def _corners_first(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
-    """``_settled`` candidates of B zero-padded lotteries on a parametric
-    family, scoring only the grid points whose scores can matter.
+    """``(positions, scores, values, rejected)`` of B zero-padded lotteries
+    on a parametric family, for ``_values``: the grid positions scored
+    (None for the whole grid), their (n_scored, B) scores, the best scores
+    and, for a max variant, the rows whose first best grid point fails
+    ``_certified``.
 
-    The 2^k corners are scored first.  Let v be a row's best corner score
-    and eps = 1e-9 * max(1, |v|).  The row's value v* is at least as good
-    as its best grid score, and only the first best grid point and the
-    grid points within eps(v*) of v* are read, so a point that scores
-    below v - eps (max variants) or above v + eps (min variants) changes
-    nothing: x - 1e-9 * max(1, |x|) and x + 1e-9 * max(1, |x|) grow with
-    x.  A point is pruned when a bound on its exact score, widened by a
-    rounding margin rho, proves this.  The corners and every grid point
-    that some row keeps are scored, for every row; the whole grid is
-    scored from ``thetas`` when the rows keep all of it.
+    One rule per row.  The 2^k corners are scored first; v is the row's
+    best corner score, eps = 1e-9 * max(1, |v|) and h = 1/(n - 1) the grid
+    step.  The row's value v* is at least as good as its best grid score,
+    and only the first best grid point and the points within eps(v*) of v*
+    are read, so a point that scores below v - eps (max variants) or above
+    v + eps (min variants) changes nothing: x - 1e-9 * max(1, |x|) and
+    x + 1e-9 * max(1, |x|) grow with x.  A row drops a point where a bound
+    on its exact score, widened by the margin m = ``GROUNDED_TOL`` + rho,
+    proves this.  The corners and every point that some row keeps are
+    scored for every row, and the whole grid when that is all of it.
 
-    Max variants: let e be the least eps of the chunk.  If some row's
-    best corner ties another corner within e, the concave score is at
-    least v - e on the segment between them, so the bound would keep that
-    segment, and its first best grid point is seldom the corner, so
-    ``_settled`` would certify a second point: the whole grid is scored
-    instead, with one certificate.  So is it if some row's best corner
-    fails ``_certified``.  Otherwise the certificate bounds the exact
-    score by v + tau + sum_i g_i d_i |theta_i - theta_c,i|, with
-    tau <= eps/4 and every g_i d_i <= tau, so a point is pruned when
-    sum_i g_i d_i |theta_i - theta_c,i| < -(e + e/4 + rho).  Off the
-    corner some |theta_i - theta_c,i| is at least h = 1/(n - 1), the
-    grid's step, so when every g_i d_i of the chunk is below
-    -(e + e/4 + rho) / h, each row keeps its corner alone.
+    Max variants: a row whose best corner ties another within eps keeps
+    the whole grid, as the concave score is at least v - eps between them;
+    no corner of the chunk is then judged.  So does a row whose best
+    corner fails ``_certified``.  Otherwise the certificate bounds the
+    exact score by v + tau + sum_i g_i d_i |theta_i - theta_c,i|, with
+    tau <= eps/4 and every g_i d_i <= tau, so the row drops the points
+    where that sum is below -(eps + eps/4 + m), and keeps its corner alone
+    where every g_i d_i is below -(eps + eps/4 + m) / h, as off the corner
+    some |theta_i - theta_c,i| is at least h.  Each row's first best grid
+    point is then certified, unless it is the row's judged corner.
 
-    Min variants: the score with the unclipped cost is concave, so at
-    theta, a convex combination of the corners with the multilinear
-    weights, it is at least the same combination of its corner values.
+    Min variants: the score with the unclipped cost is concave, so at a
+    grid point it is at least the multilinear combination of its corner
+    values, in which the best corner weighs at most 1 - h off the corners.
     The cost is at least -``GROUNDED_TOL`` on the box (the family checks
-    its corners), so clipping it raises a score by at most that much.  A
-    point is pruned when the multilinear interpolation of the corner
-    scores exceeds v + eps + ``GROUNDED_TOL`` + rho.  Off the best corner
-    its weight is at most 1 - h, so the interpolation is at least
-    v + h * delta, delta being the gap from v to the second best corner
-    score: when h * delta exceeds the largest eps of the chunk plus
-    ``GROUNDED_TOL`` + rho in every row, each row keeps its corner alone.
+    its corners), so clipping it raises a corner score by at most that and
+    lowers none: off the corners the score is at least v + h * delta -
+    ``GROUNDED_TOL``, delta being the gap from v to the second best corner
+    score.  So a row keeps its corner alone where h * delta > eps + m.
 
     Rounding: a template valid at its corners has entries in [0, 1] up to
     1e-12 n_states there, so |a_vs| + sum_i |b_ivs| <= 2(k + 1) for the
@@ -722,77 +702,63 @@ def _corners_first(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
     (Higham 2002, *Accuracy and Stability of Numerical Algorithms*, Sec.
     3.1) bounds by N u (2R) the gap between each computed quantity the
     argument uses (a grid score, a corner score, a piece, g and its
-    products, an interpolation) and its exact value, to first order.  The
+    products, the gap delta) and its exact value, to first order.  The
     argument adds at most six such gaps, so rho = 8 N u (2R) covers them.
     A chunk whose rho is not finite prunes nothing.
     """
-    family, variant = model.family, model.variant
-    corners, k, n_states = family.corners, family.n_params, len(family.states)
-
-    def whole_grid(known):
-        return _settled(model, probs, payoffs, None, _scores(model, probs, payoffs, family._built_grid()[1]), known)
+    family, maximize = model.family, _IS_MAX[model.variant]
+    k, n_states, h = family.n_params, len(family.states), family._axis[1]
 
     def margin():
         spread = 2 * (k + 1) * n_states * np.abs(payoffs).max() + abs(family.cost_base) + np.abs(family.cost_coefs).sum()
-        return (n_states + k + probs.shape[1] + 8) * 2.0**-49 * spread
+        return GROUNDED_TOL + (n_states + k + probs.shape[1] + 8) * 2.0**-49 * spread
 
+    positions, blocks = family._corner_positions, family._at_corners._stacked.reshape(len(family.corners), -1, n_states)
     scores = _scores(model, probs, payoffs, family._at_corners)
-    if _IS_MAX[variant]:
-        v = scores.max(axis=0)
-        e = 1e-9 * max(1.0, float(np.abs(v).min()))
+    v = scores.max(axis=0) if maximize else scores.min(axis=0)
+    eps = 1e-9 * np.maximum(1.0, np.abs(v))
+    if maximize:
         # each row has one corner at v; more than B in all means a tie
-        if np.count_nonzero(scores >= v - e) > len(v):
-            return whole_grid(None)
-        best = np.argmax(scores, axis=0)
-        at = corners[best]
-        certified, slack = _certified(model, probs, payoffs, at, v)
-        known = (family._corner_positions[best], certified)
-        if not certified.all():
-            return whole_grid(known)
-        limit = -(1.25 * e + margin())
-        if slack.max() * family._axis[1] < limit:
-            return family._corner_positions, scores, v, ()
-        prune = _on_grid(slack[:, :, None] * np.abs(family._axis - at[:, :, None])) < limit
+        whole = np.count_nonzero(scores >= v - eps) > len(v)
+        if whole:
+            # no corner is judged; position -1 matches no grid point
+            corner, certified = -1, np.zeros(len(v), bool)
+        else:
+            best = np.argmax(scores, axis=0)
+            corner, at = positions[best], family.corners[best]
+            certified, slack = _certified(model, probs, payoffs, at, blocks[best], v)
+            limit = -1.25 * eps - margin()
+            whole = not certified.all()
+        alone = not whole and (slack.max(axis=1) * h < limit).all()
     else:
-        v, known = scores.min(axis=0), None
-        allowance = GROUNDED_TOL + margin()
-        gap = np.partition(scores, 1, axis=0)[1] - v
-        if gap.min() * family._axis[1] > 1e-9 * max(1.0, float(np.abs(v).max())) + allowance:
-            return family._corner_positions, scores, v, ()
-        limit = v + 1e-9 * np.maximum(1.0, np.abs(v)) + allowance
-        prune = _interpolated(scores, family._axis) > limit[:, None]
-    kept = ~prune.all(axis=0)
-    if kept.all():
-        return whole_grid(known)
-    kept[family._corner_positions] = False
-    extra = np.flatnonzero(kept)
-    if not extra.size:
-        return _settled(model, probs, payoffs, family._corner_positions, scores, known)
-    positions = np.concatenate([family._corner_positions, extra])
-    scores = np.concatenate([scores, _scores(model, probs, payoffs, family._members_at(family._points(extra)))])
-    order = np.argsort(positions)
-    return _settled(model, probs, payoffs, positions[order], scores[order], known)
-
-
-def _settled(model: CapModel, probs, payoffs, positions, scores, known):
-    """``(positions, scores, values, rejected)`` of B lotteries whose
-    candidates at the grid ``positions`` (None for the whole grid) have
-    the (n_scored, B) ``scores``: the best scores and, for a max variant,
-    the rows whose first best grid point fails ``_certified``.  ``known``
-    holds each row's best corner's position and verdict, which a row whose
-    first best grid point is that corner takes without a second proof."""
-    if not _IS_MAX[model.variant]:
+        alone = ((np.partition(scores, 1, axis=0)[1] - v) * h > eps + margin()).all()
+        whole = not alone
+    if alone:
+        return positions, scores, v, ()
+    if not whole:
+        kept = ~(_on_grid(slack[:, :, None] * np.abs(family._axis - at[:, :, None])) < limit[:, None]).all(axis=0)
+        whole = kept.all()
+    if whole:
+        members = family._built_grid()[1]
+        positions, scores = None, _scores(model, probs, payoffs, members)
+        blocks = members._stacked.reshape(len(family), -1, n_states)
+    else:
+        kept[positions] = False
+        extra = np.flatnonzero(kept)
+        if extra.size:
+            members = family._members_at(family._points(extra))
+            order = np.argsort(np.concatenate([positions, extra]))
+            positions = np.concatenate([positions, extra])[order]
+            scores = np.concatenate([scores, _scores(model, probs, payoffs, members)])[order]
+            blocks = np.concatenate([blocks, members._stacked.reshape(extra.size, -1, n_states)])[order]
+    if not maximize:
         return positions, scores, scores.min(axis=0), ()
-    best, values = np.argmax(scores, axis=0), scores.max(axis=0)
-    if positions is not None:
-        best = positions[best]
-    if known is None:
-        certified = _certified(model, probs, payoffs, model.family._points(best), values)[0]
-    else:
-        certified, check = known[1], np.flatnonzero(best != known[0])
-        if check.size:
-            thetas = model.family._points(best[check])
-            certified[check] = _certified(model, probs[check], payoffs[check], thetas, values[check])[0]
+    first, values = np.argmax(scores, axis=0), scores.max(axis=0)
+    point = first if positions is None else positions[first]
+    check = np.flatnonzero(point != corner)
+    if check.size:
+        thetas = family._points(point[check])
+        certified[check] = _certified(model, probs[check], payoffs[check], thetas, blocks[first[check]], values[check])[0]
     return positions, scores, values, np.flatnonzero(~certified)
 
 
@@ -802,14 +768,12 @@ def _values(model: CapModel, probs: np.ndarray, payoffs: np.ndarray):
     Returns the grid positions of the candidates scored (None for every
     candidate), their (n_scored, B) scores, the B values, and a dict from
     row to the ``(theta, score)`` of each epigraph LP solved.  A value is
-    the best candidate's score.  On a parametric family
-    ``_corners_first`` scores every grid point whose score can matter, so
-    the value and the first best grid point are the grid's; the max
-    variants keep the value where ``_certified`` proves that point the box
-    optimum, and otherwise pass it to ``_with_lp`` with the LP over the
-    row's atoms of positive probability.  The min variants need no LP: a
-    concave score attains its minimum over the box at a corner, and the
-    grid holds every corner."""
+    the best candidate's score; on a parametric family ``_corners_first``
+    scores every grid point whose score can matter, and a max variant
+    passes a row whose first best grid point ``_certified`` rejects to
+    ``_with_lp``, with the LP over the row's atoms of positive probability.
+    The min variants need no LP: a concave score attains its minimum over
+    the box at a corner, and the grid holds every corner."""
     if model.is_parametric and len(probs):
         positions, scores, values, rejected = _corners_first(model, probs, payoffs)
     else:

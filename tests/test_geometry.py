@@ -71,6 +71,32 @@ class TestStateSpaceAndPrior:
         p = Prior(states4, (1.0 + 1e-13, -1e-13, 0.0, 0.0))
         assert p.weights.min() >= 0.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.5, 0.5, 0.1, 0.0), (0.7, 0.5, -0.2, 0.0), (np.nan, 1.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0)],
+        ids=["sum", "negative", "nan", "inf"],
+    )
+    def test_belief_set_raises_what_prior_raises_on_its_first_bad_row(self, states4, bad):
+        with pytest.raises(ValueError) as want:
+            Prior(states4, bad)
+        # the rows before it are valid, dust included; the row after it is bad too
+        rows = np.array([(1.0 + 1e-13, -1e-13, 0.0, 0.0), (0.25,) * 4, bad, (0.2, 0.2, 0.2, 0.2)])
+        with pytest.raises(type(want.value)) as got:
+            BeliefSet(states4, rows)
+        assert str(got.value) == str(want.value)
+
+    def test_belief_set_rows_of_the_wrong_size_raise_what_prior_raises(self, states4):
+        with pytest.raises(DimensionMismatchError) as want:
+            Prior(states4, (0.5, 0.5))
+        with pytest.raises(DimensionMismatchError) as got:
+            BeliefSet(states4, np.full((3, 2), 0.5))
+        assert str(got.value) == str(want.value)
+
+    def test_belief_set_rows_scrub_dust_as_prior_does(self, states4):
+        rows = np.array([(1.0 + 1e-13, -1e-13, 0.0, 0.0), (-0.0, 0.5, 0.5, 0.0), (0.25,) * 4])
+        want = np.vstack([Prior(states4, r).weights for r in rows])
+        assert BeliefSet(states4, rows).matrix.tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self, states4, states3):
         M = BeliefSet(states4, np.eye(4))
         phi = UtilityAct(states3, (1.0, 2.0, 3.0))

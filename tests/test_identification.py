@@ -172,6 +172,31 @@ class TestCostEstimation:
         assert values[0] >= values[1] - 1e-6
         assert values[1] >= values[2] - 1e-6
 
+    def test_cutting_planes_stop_at_their_bound(self, urn_small, monkeypatch):
+        # an evaluator that always beats the cost LP asks for a cut each round
+        lps, menu_lp = [], identification._menu_lp
+        monkeypatch.setattr(identification, "_menu_lp", lambda *args: lps.append(1) or menu_lp(*args))
+        beaten = model_module.EvaluationResult(1e6, 1e6, ((0.5, 0.5),))
+        monkeypatch.setattr(identification, "evaluate", lambda model, P: beaten)
+        member = urn_small.family.member_at((0.0, 0.0))
+        with pytest.raises(RuntimeError, match=f"after {identification.MAX_COST_LPS} LPs"):
+            estimate_cost_star(urn_small, member, standard_bet_dictionary(urn_small.states))
+        assert len(lps) == identification.MAX_COST_LPS
+
+    @pytest.mark.parametrize("grid", [5, 101])
+    def test_stock_urns_need_one_cost_lp(self, grid, monkeypatch):
+        lps, menu_lp = [], identification._menu_lp
+        monkeypatch.setattr(identification, "_menu_lp", lambda *args: lps.append(1) or menu_lp(*args))
+        d = standard_bet_dictionary(STATES_4)
+        members = [
+            (m, m.family.member_at(t))
+            for m in (model_5051(grid), model_reflection(grid))
+            for t in m.family.thetas[:: max(1, len(m.family) // 18)]
+        ]
+        for m, M in members:
+            estimate_cost_star(m, M, d)
+        assert len(lps) == len(members)
+
     def test_requires_max_type_variant(self, states4):
         family = FiniteFamily([(BeliefSet(states4, np.eye(4)), 0.0)])
         model = CapModel(states4, family, "cautious")

@@ -402,7 +402,9 @@ def _certificate(model, probs, payoffs):
     scores = model_module._scores(model, probs, payoffs)
     values = np.max(scores, axis=0)
     best = np.argmax(scores, axis=0)
-    return model_module._certified(model, probs, payoffs, model.family.thetas[best], values)[0], values
+    family = model.family
+    verts = family._stacked.reshape(len(family), -1, len(family.states))[best]
+    return model_module._certified(model, probs, payoffs, family.thetas[best], verts, values)[0], values
 
 
 @pytest.fixture
@@ -697,6 +699,17 @@ class TestEvaluateMany:
                 if model.family is ridge.family and model.variant != "double_maxmin":
                     grid = set(map(tuple, model.family.thetas.tolist()))
                     assert not grid.issuperset(results[0].optimal_perceptions)
+
+    def test_rows_of_mixed_magnitudes_match_evaluate(self):
+        # eps_opt is about 1e-5 on the bet and 1e-9 on the constant; a
+        # tolerance shared by the chunk dropped the bet's second perception
+        model = model_5051(11)
+        bet = Lottery.dirac(UtilityAct(model.states, [10101.0002, 10000.0, 9000.0, 9000.0]))
+        lotteries = [bet, Lottery.constant(model.states, 0.5)]
+        probs, payoffs = stack_lotteries([(P.probs, P.payoff_matrix) for P in lotteries], len(model.states))
+        results = evaluate_many(model, probs, payoffs)
+        assert [_bits(r) for r in results] == [_bits(evaluate(model, P)) for P in lotteries]
+        assert results[0].optimal_perceptions == ((0.0, 1.0), (0.1, 1.0))
 
     def test_rejected_rows_match_the_always_lp_evaluate(self, random_parametric_family, always_lp_evaluate):
         rejected = 0
